@@ -8,6 +8,7 @@
 //! module imports at a linear-reference type) is a [`TypeError::LinkError`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{RuntimeError, TypeError};
 use crate::interp::gc::{collect, GcStats};
@@ -18,7 +19,7 @@ use crate::syntax::{FunType, Func, GlobalKind, Index, Instr, Module, Value};
 use crate::typecheck::check_module;
 
 /// Execution knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Maximum reduction steps per invocation.
     pub fuel: u64,
@@ -48,20 +49,33 @@ pub struct InvokeResult {
     pub steps: u64,
 }
 
+/// The runtime's mutable state as captured by [`Runtime::seal`] and
+/// restored by [`Runtime::reset`]. Module code, names and host functions
+/// never change after linking (paper Fig. 4: the store is the only
+/// mutable state), so they are not part of it.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    store: Store,
+    config: RuntimeConfig,
+}
+
 /// A RichWasm runtime: a store, the instantiated module definitions, and
 /// a name registry for import resolution.
 #[derive(Debug, Default)]
 pub struct Runtime {
     /// The store (instances + memories).
     pub store: Store,
-    /// Module definitions, aligned with `store.insts`.
-    pub modules: Vec<Module>,
+    /// Module definitions, aligned with `store.insts`. Shared, immutable
+    /// ASTs: instantiating a module another runtime also runs copies a
+    /// pointer, not the code.
+    pub modules: Vec<Arc<Module>>,
     names: HashMap<String, u32>,
     /// Execution configuration.
     pub config: RuntimeConfig,
     /// Host functions, keyed by the closures pointing at them (see
     /// [`Runtime::register_host_module`]).
     pub hosts: HostFuncs,
+    snapshot: Option<Snapshot>,
 }
 
 // Concurrency contract (enforced at compile time, relied on by the
@@ -93,14 +107,23 @@ impl Runtime {
     }
 
     /// Type checks and instantiates `module` under `name`, resolving its
-    /// imports against previously instantiated modules.
+    /// imports against previously instantiated modules. Drops any
+    /// snapshot taken by [`Runtime::seal`]: it predates this instance.
     ///
     /// # Errors
     ///
     /// * any [`TypeError`] from module checking,
     /// * [`TypeError::LinkError`] when an import cannot be resolved or its
     ///   declared type differs from the export's type.
-    pub fn instantiate(&mut self, name: &str, module: Module) -> Result<u32, TypeError> {
+    pub fn instantiate(
+        &mut self,
+        name: &str,
+        module: impl Into<Arc<Module>>,
+    ) -> Result<u32, TypeError> {
+        // Dropped before anything can fail: a failed instantiation may
+        // already have allocated in the store (global initialisers).
+        self.snapshot = None;
+        let module = module.into();
         if self.config.check_modules {
             check_module(&module)?;
         }
@@ -223,11 +246,14 @@ impl Runtime {
     /// The registered module is *not* type checked (it has no RichWasm
     /// bodies); its types are trusted the way an embedder trusts its own
     /// host, which is exactly the paper's boundary story inverted.
+    ///
+    /// Like [`Runtime::instantiate`], drops any snapshot.
     pub fn register_host_module(
         &mut self,
         name: &str,
         funcs: Vec<(String, FunType, HostImpl)>,
     ) -> u32 {
+        self.snapshot = None;
         let idx = self.store.insts.len() as u32;
         let mut inst = Instance::default();
         let mut module = Module::default();
@@ -255,9 +281,49 @@ impl Runtime {
             });
         }
         self.store.insts.push(inst);
-        self.modules.push(module);
+        self.modules.push(Arc::new(module));
         self.names.insert(name.to_string(), idx);
         idx
+    }
+
+    /// Captures the store and the configuration as the runtime's
+    /// *snapshot*, enabling [`Runtime::reset`].
+    ///
+    /// Call this once every module is instantiated: the snapshot then
+    /// is the freshly linked program, and resetting to it is equivalent
+    /// to — but much cheaper than — linking every module again.
+    pub fn seal(&mut self) {
+        self.snapshot = Some(Snapshot {
+            store: self.store.clone(),
+            config: self.config,
+        });
+    }
+
+    /// True while a snapshot taken by [`Runtime::seal`] is held.
+    pub fn is_sealed(&self) -> bool {
+        self.snapshot.is_some()
+    }
+
+    /// Restores the store (instance globals and both memories, including
+    /// their allocation cursors and lifetime counters) and the
+    /// configuration to the snapshot taken by [`Runtime::seal`], in
+    /// place. The snapshot is kept, so a runtime can be reset any number
+    /// of times.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::BadStore`] when no snapshot is held: the runtime
+    /// was never sealed, or a module was linked in since.
+    pub fn reset(&mut self) -> Result<(), RuntimeError> {
+        let snap = self
+            .snapshot
+            .as_ref()
+            .ok_or_else(|| RuntimeError::BadStore {
+                reason: "reset without a sealed snapshot".into(),
+            })?;
+        self.store.clone_from(&snap.store);
+        self.config = snap.config;
+        Ok(())
     }
 
     /// Invokes the export `name` of instance `inst` with `args`.
@@ -362,7 +428,7 @@ impl Runtime {
             ..Instance::default()
         };
         self.store.insts.push(tmp);
-        self.modules.push(Module::default());
+        self.modules.push(Arc::default());
         let inst_idx = (self.store.insts.len() - 1) as u32;
         let mut cfg = Config {
             inst: inst_idx,
@@ -738,6 +804,120 @@ mod tests {
             rt.invoke(idx, "main", vec![]).unwrap().values,
             vec![Value::i32(42)]
         );
+    }
+
+    /// `churn`: bumps a global, then allocates and frees a linear struct
+    /// and allocates and drops an unrestricted one, returning the new
+    /// global value. Afterwards the linear map is empty again, but its
+    /// allocation cursor and the lifetime counters have moved.
+    fn churn_module() -> Module {
+        let unpack = |body| {
+            Instr::MemUnpack(
+                instr::Block::new(ArrowType::new(vec![], vec![]), vec![]),
+                body,
+            )
+        };
+        Module {
+            funcs: vec![Func::Defined {
+                exports: vec!["churn".into()],
+                ty: FunType::mono(vec![], vec![Type::num(NumType::I32)]),
+                locals: vec![],
+                body: vec![
+                    Instr::GetGlobal(0),
+                    Instr::i32(1),
+                    Instr::Num(NumInstr::IntBinop(NumType::I32, instr::IntBinop::Add)),
+                    Instr::SetGlobal(0),
+                    Instr::i32(7),
+                    Instr::StructMalloc(vec![Size::Const(64)], Qual::Lin),
+                    unpack(vec![Instr::StructGet(0), Instr::Drop, Instr::StructFree]),
+                    Instr::i32(8),
+                    Instr::StructMalloc(vec![Size::Const(64)], Qual::Unr),
+                    unpack(vec![Instr::Drop]),
+                    Instr::GetGlobal(0),
+                ],
+            }],
+            globals: vec![Global {
+                exports: vec![],
+                kind: GlobalKind::Defined {
+                    mutable: true,
+                    ty: Pretype::Num(NumType::I32),
+                    init: vec![Instr::i32(10)],
+                },
+            }],
+            ..Module::default()
+        }
+    }
+
+    #[test]
+    fn reset_restores_the_sealed_store_and_config() {
+        let mut rt = Runtime::new();
+        let idx = rt.instantiate("m", churn_module()).unwrap();
+        rt.seal();
+        assert!(rt.is_sealed());
+        let (fresh_store, fresh_config) = (rt.store.clone(), rt.config);
+
+        let first = rt.invoke(idx, "churn", vec![]).unwrap();
+        assert_eq!(first.values, vec![Value::i32(11)]);
+        let mem = &rt.store.mem;
+        assert_eq!(mem.lin, fresh_store.mem.lin, "the linear cell was freed");
+        assert_eq!((mem.allocs, mem.frees, mem.unr.len()), (2, 1, 1));
+        assert_ne!(rt.store, fresh_store);
+        rt.config.fuel = 5;
+        rt.config.auto_gc_every = Some(3);
+
+        rt.reset().unwrap();
+        assert_eq!(rt.store, fresh_store);
+        assert_eq!(rt.config, fresh_config);
+        assert!(rt.is_sealed(), "the snapshot survives a reset");
+        assert_eq!(rt.invoke(idx, "churn", vec![]).unwrap(), first);
+    }
+
+    #[test]
+    fn reset_without_a_snapshot_is_an_error() {
+        let mut rt = Runtime::new();
+        rt.instantiate("m", churn_module()).unwrap();
+        assert!(!rt.is_sealed());
+        assert!(matches!(rt.reset(), Err(RuntimeError::BadStore { .. })));
+    }
+
+    #[test]
+    fn linking_after_seal_drops_the_snapshot() {
+        let mut rt = Runtime::new();
+        rt.instantiate("a", churn_module()).unwrap();
+        rt.seal();
+        rt.instantiate("b", answer_module()).unwrap();
+        assert!(!rt.is_sealed());
+        assert!(rt.reset().is_err());
+
+        rt.seal();
+        rt.register_host_module("host", vec![]);
+        assert!(!rt.is_sealed());
+
+        // A failed instantiation may already have touched the store, so
+        // it drops the snapshot too.
+        rt.seal();
+        let client = Module {
+            funcs: vec![Func::Imported {
+                exports: vec![],
+                module: "ghost".into(),
+                name: "f".into(),
+                ty: FunType::mono(vec![], vec![]),
+            }],
+            ..Module::default()
+        };
+        assert!(rt.instantiate("client", client).is_err());
+        assert!(!rt.is_sealed());
+    }
+
+    #[test]
+    fn instantiating_a_shared_module_copies_no_code() {
+        let m = Arc::new(answer_module());
+        let mut a = Runtime::new();
+        let mut b = Runtime::new();
+        a.instantiate("m", Arc::clone(&m)).unwrap();
+        b.instantiate("m", Arc::clone(&m)).unwrap();
+        assert!(Arc::ptr_eq(&a.modules[0], &b.modules[0]));
+        assert_eq!(Arc::strong_count(&m), 3);
     }
 }
 

@@ -5,6 +5,8 @@
 //! paper's `L^k`); `br`/`return` propagate outward carrying their value
 //! prefix; traps normalise the enclosing sequence.
 
+use std::sync::Arc;
+
 use crate::error::RuntimeError;
 use crate::interp::host::HostFuncs;
 use crate::interp::num;
@@ -90,7 +92,7 @@ enum SeqOut {
 /// tests rely on that.
 pub fn step_config(
     store: &mut Store,
-    modules: &[Module],
+    modules: &[Arc<Module>],
     hosts: &HostFuncs,
     cfg: &mut Config,
 ) -> Result<Outcome, RuntimeError> {
@@ -141,7 +143,7 @@ fn take_values(es: &[Instr]) -> Vec<Value> {
 #[allow(clippy::too_many_lines)]
 fn step_seq(
     store: &mut Store,
-    modules: &[Module],
+    modules: &[Arc<Module>],
     hosts: &HostFuncs,
     inst: u32,
     locals: &mut Vec<(Value, Size)>,
@@ -1023,7 +1025,7 @@ mod tests {
 
     fn run_to_end(cfg: &mut Config) -> Outcome {
         let mut store = Store::default();
-        let modules: Vec<Module> = vec![];
+        let modules: Vec<Arc<Module>> = vec![];
         for _ in 0..10_000 {
             match step_config(&mut store, &modules, &HostFuncs::default(), cfg).unwrap() {
                 Outcome::Stepped => continue,
@@ -1096,7 +1098,7 @@ mod tests {
     #[test]
     fn struct_malloc_get_free() {
         let mut store = Store::default();
-        let modules: Vec<Module> = vec![];
+        let modules: Vec<Arc<Module>> = vec![];
         let mut cfg = Config {
             instrs: vec![
                 Instr::i32(9),
@@ -1154,7 +1156,7 @@ mod more_tests {
     use crate::syntax::{ArrowType, NumType, Type};
 
     fn drive(store: &mut Store, cfg: &mut Config) -> Outcome {
-        let modules: Vec<Module> = vec![];
+        let modules: Vec<Arc<Module>> = vec![];
         for _ in 0..100_000 {
             match step_config(store, &modules, &HostFuncs::default(), cfg).unwrap() {
                 Outcome::Stepped => continue,

@@ -18,7 +18,7 @@ pub struct Closure {
 
 /// A module instance: resolved function list, global values, and the
 /// table used for indirect calls.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Instance {
     /// One closure per declared function (imports resolved).
     pub funcs: Vec<Closure>,
@@ -40,7 +40,7 @@ pub struct Cell {
 
 /// The two flat memories. Unlike Wasm, cells hold structured heap values
 /// (§2.1: "in RichWasm memories store high-level structured data").
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Memory {
     /// The manually managed linear memory.
     pub lin: BTreeMap<u32, Cell>,
@@ -112,7 +112,7 @@ impl Memory {
 }
 
 /// The store `s ::= {inst inst*, mem mem}`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Store {
     /// The instantiated modules.
     pub insts: Vec<Instance>,

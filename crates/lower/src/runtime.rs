@@ -149,7 +149,11 @@ pub fn runtime_module(table_size: u32) -> Module {
         // Bump allocation: ptr = brk.
         GlobalGet(1),
         LocalSet(3),
-        // Grow memory while brk + 4 + n > memory.size * PAGE.
+        // Grow memory while brk + 4 + n > memory.size * PAGE. A request
+        // that does not fit in 4 GiB never leaves the loop: at 65536
+        // pages `memory.grow` returns -1 without growing and
+        // `memory.size << 16` wraps to 0, so the loop spins until the
+        // invocation runs out of fuel.
         Block(
             BlockType::Empty,
             vec![Loop(
@@ -292,6 +296,19 @@ mod tests {
         // 1 byte rounds up to 4: blocks are 8 bytes apart (4 header + 4).
         assert_eq!(p2 - p1, 8);
         assert_eq!(p1 % 4, 0);
+    }
+
+    #[test]
+    fn oversized_malloc_ends_by_running_out_of_fuel() {
+        let mut l = WasmLinker::new();
+        l.max_steps = 200;
+        let rt = l.instantiate("rt", runtime_module(1)).unwrap();
+        // brk + 4 + n lands just below 4 GiB: no memory of at most
+        // 65536 pages satisfies the grow loop's test.
+        let err = l
+            .invoke(rt, "malloc", &[Val::I32(0xFFFF_0000)])
+            .unwrap_err();
+        assert!(err.0.contains("budget exhausted"), "{err}");
     }
 
     #[test]

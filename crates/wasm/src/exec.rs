@@ -100,6 +100,24 @@ fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
 /// One 64 KiB Wasm page.
 pub const PAGE: usize = 65536;
 
+/// The most pages a 32-bit memory can have: 65536 × 64 KiB = 4 GiB.
+const MAX_PAGES: u32 = 65536;
+
+/// `memory.grow` on `mem`: grows it by `delta` pages and returns the old
+/// size in pages, or returns `-1` (`u32::MAX`) and leaves `mem` as it was
+/// when the result would exceed [`MAX_PAGES`]. Shared by both tiers so
+/// they agree on every `delta`.
+pub(crate) fn memory_grow(mem: &mut Vec<u8>, delta: u32) -> u32 {
+    let old = (mem.len() / PAGE) as u32;
+    match old.checked_add(delta) {
+        Some(new) if new <= MAX_PAGES => {
+            mem.resize(new as usize * PAGE, 0);
+            old
+        }
+        _ => u32::MAX,
+    }
+}
+
 /// Address of a function in the store.
 type FuncAddr = usize;
 
@@ -149,13 +167,16 @@ pub(crate) struct ModuleInst {
     exports: HashMap<String, ExportKind>,
 }
 
-/// A snapshot of the store's mutable state (globals, memories, tables),
-/// captured by [`WasmLinker::seal`] and restored by [`WasmLinker::reset`].
+/// A snapshot of the store's mutable state (globals, memories, tables)
+/// and the fuel limits, captured by [`WasmLinker::seal`] and restored by
+/// [`WasmLinker::reset`].
 #[derive(Debug, Clone)]
 struct Baseline {
     globals: Vec<Val>,
     memories: Vec<Vec<u8>>,
     tables: Vec<Vec<Option<FuncAddr>>>,
+    max_call_depth: usize,
+    max_steps: u64,
 }
 
 /// The multi-module store plus a name registry: the host embedding that
@@ -463,8 +484,9 @@ impl WasmLinker {
         self.funcs.get(addr).map(|f| &f.ty)
     }
 
-    /// Captures the current mutable state (globals, memories, tables) as
-    /// the linker's *baseline*, enabling [`WasmLinker::reset`].
+    /// Captures the current mutable state (globals, memories, tables) and
+    /// fuel limits as the linker's *baseline*, enabling
+    /// [`WasmLinker::reset`].
     ///
     /// Call this once, after all modules are instantiated (and their start
     /// functions have run): the baseline then represents the freshly
@@ -476,6 +498,8 @@ impl WasmLinker {
             globals: self.globals.clone(),
             memories: self.memories.clone(),
             tables: self.tables.clone(),
+            max_call_depth: self.max_call_depth,
+            max_steps: self.max_steps,
         });
     }
 
@@ -484,10 +508,10 @@ impl WasmLinker {
         self.baseline.is_some()
     }
 
-    /// Restores all mutable state to the baseline captured by
-    /// [`WasmLinker::seal`]: the store is indistinguishable from a fresh
-    /// instantiation of the same modules, without re-running validation,
-    /// import resolution, or data-segment initialisation.
+    /// Restores all mutable state and the fuel limits to the baseline
+    /// captured by [`WasmLinker::seal`]: the linker is indistinguishable
+    /// from a fresh instantiation of the same modules, without re-running
+    /// validation, import resolution, or data-segment initialisation.
     ///
     /// # Errors
     ///
@@ -500,6 +524,8 @@ impl WasmLinker {
         self.globals.clone_from(&base.globals);
         self.memories.clone_from(&base.memories);
         self.tables.clone_from(&base.tables);
+        self.max_call_depth = base.max_call_depth;
+        self.max_steps = base.max_steps;
         self.steps = 0;
         Ok(())
     }
@@ -838,11 +864,9 @@ impl Activation {
                 self.stack.push(Val::I32(pages));
             }
             MemoryGrow => {
-                let delta = self.pop_i32()? as usize;
+                let delta = self.pop_i32()?;
                 let mem = self.mem(linker)?;
-                let old = mem.len() / PAGE;
-                mem.resize(mem.len() + delta * PAGE, 0);
-                self.stack.push(Val::I32(old as u32));
+                self.stack.push(Val::I32(memory_grow(mem, delta)));
             }
             I32Const(c) => self.stack.push(Val::I32(*c as u32)),
             I64Const(c) => self.stack.push(Val::I64(*c as u64)),

@@ -27,7 +27,7 @@
 
 use crate::ast::{ValType, Width};
 use crate::compile::{BranchTarget, CompiledFunc, Op, ESCAPE_PC};
-use crate::exec::{ibin, irel, t_size, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
+use crate::exec::{ibin, irel, memory_grow, t_size, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
 
 fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
     Err(WasmTrap(msg.into()))
@@ -363,12 +363,9 @@ fn run(
                 stack.push((linker.memories[ma].len() / PAGE) as u64);
             }
             Op::MemoryGrow => {
-                let delta = pop(stack, base)? as u32 as usize;
+                let delta = pop(stack, base)? as u32;
                 let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                let old = m.len() / PAGE;
-                m.resize(m.len() + delta * PAGE, 0);
-                stack.push(old as u64);
+                stack.push(u64::from(memory_grow(&mut linker.memories[ma], delta)));
             }
             Op::Const(v) => stack.push(*v),
             Op::IUn(w, op) => {

@@ -315,6 +315,34 @@ fn traps_agree() {
     assert!(err.contains("unreachable executed"), "{err}");
 }
 
+/// `memory.grow` past the 65536-page (4 GiB) limit returns -1 and leaves
+/// the memory as it was, on both tiers and at the same fuel. A delta of
+/// -1 (`u32::MAX` pages) used to make both tiers try to allocate 256 TiB.
+#[test]
+fn memory_grow_past_the_limit_fails_on_both_tiers() {
+    let body = vec![
+        WInstr::I32Const(-1),
+        WInstr::MemoryGrow,
+        WInstr::I32Const(65536),
+        WInstr::MemoryGrow,
+        WInstr::I32Const(2),
+        WInstr::MemoryGrow,
+        WInstr::MemorySize,
+    ];
+    let results = vec![ValType::I32; 4];
+    let mut m = one_func(vec![], results, vec![], body);
+    m.memory = Some(1);
+    assert_eq!(
+        differential(&m, "f", &[]),
+        Ok(vec![
+            Val::I32(u32::MAX),
+            Val::I32(u32::MAX),
+            Val::I32(1),
+            Val::I32(3)
+        ])
+    );
+}
+
 /// Fuel parity at the exact boundary: for a loop workload, find the
 /// tree-walker's step count, then check both engines complete at
 /// exactly that budget and trap at one less.

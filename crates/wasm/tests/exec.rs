@@ -527,6 +527,20 @@ fn seal_and_reset_restore_baseline_state() {
 }
 
 #[test]
+fn reset_restores_the_sealed_fuel_limits() {
+    let mut l = WasmLinker::new();
+    l.max_steps = 1_000;
+    l.instantiate("m", one_func(vec![], vec![], vec![], vec![]))
+        .unwrap();
+    l.seal();
+    l.max_steps = 5;
+    l.max_call_depth = 3;
+    l.reset().unwrap();
+    assert_eq!(l.max_steps, 1_000);
+    assert_eq!(l.max_call_depth, WasmLinker::new().max_call_depth);
+}
+
+#[test]
 fn instantiate_invalidates_stale_baseline() {
     let m1 = one_func(
         vec![],

@@ -1166,8 +1166,9 @@ struct ArtifactInner {
     /// Host modules (name, signatures, closures) to install into both
     /// backends at instantiation, before any guest module.
     hosts: Vec<HostModuleDef>,
-    /// RichWasm modules (post-frontend), in instantiation order.
-    modules: Vec<(String, syntax::Module)>,
+    /// RichWasm modules (post-frontend), in instantiation order. Every
+    /// instance's runtime shares these ASTs rather than copying them.
+    modules: Vec<(String, Arc<syntax::Module>)>,
     /// Checked module environments (empty when `typecheck` is off).
     envs: Vec<ModuleEnv>,
     /// The whole-program table layout the modules were lowered under.
@@ -1225,7 +1226,7 @@ impl Artifact {
             .modules
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, m)| m)
+            .map(|(_, m)| &**m)
     }
 
     /// Module names in instantiation order.
@@ -1630,8 +1631,9 @@ impl Artifact {
 
     /// Typed linking + instantiation of the (already checked) RichWasm
     /// modules on a fresh interpreter runtime — host modules first, then
-    /// the guests. Modules were checked at compile time (when the check
-    /// is on), so per-module re-checking is off; the typed linker's FFI
+    /// the guests — sealed so [`Instance::reset`] can restore it in
+    /// place. Modules were checked at compile time (when the check is
+    /// on), so per-module re-checking is off; the typed linker's FFI
     /// boundary check still runs.
     fn build_runtime(&self, replay: &[ReplayLog]) -> Result<Runtime, PipelineError> {
         let config = &self.inner.config;
@@ -1661,10 +1663,12 @@ impl Artifact {
             rt.register_host_module(&hm.name, funcs);
         }
         for (name, m) in &self.inner.modules {
-            rt.instantiate(name, m.clone()).map_err(|e| {
+            rt.instantiate(name, Arc::clone(m)).map_err(|e| {
                 PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Type(e))
             })?;
         }
+        // Snapshot for cheap Instance::reset.
+        rt.seal();
         Ok(rt)
     }
 }
@@ -1857,8 +1861,16 @@ impl Instance {
 
     /// Rewinds the instance to its freshly instantiated state without
     /// re-running any static stage: the Wasm store restores its sealed
-    /// baseline in place, and the RichWasm runtime re-links from the
-    /// artifact's (already checked) modules.
+    /// baseline in place (memories, globals, tables and fuel limits), and
+    /// the RichWasm runtime restores its sealed snapshot in place (store
+    /// and configuration, fuel included — see [`Runtime::reset`]). Module
+    /// code is never copied: it is immutable after linking and shared by
+    /// `Arc` with the artifact.
+    ///
+    /// Only a RichWasm runtime that has lost its snapshot — a harness
+    /// instantiated extra modules into [`Instance::richwasm`] — is
+    /// rebuilt from the artifact's (already checked) modules instead,
+    /// which also drops those extra modules.
     ///
     /// Three pieces of host-boundary state are rewound with the stores —
     /// the invariant [`InstancePool`] recycling relies on (a recycled
@@ -1874,8 +1886,10 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// The same link errors as [`Artifact::instantiate`] — impossible in
-    /// practice for an artifact that instantiated once already.
+    /// A Wasm store without a sealed baseline, or, from the RichWasm
+    /// rebuild fallback, the same link errors as
+    /// [`Artifact::instantiate`] — impossible in practice for an
+    /// artifact that instantiated once already.
     pub fn reset(&mut self) -> Result<(), PipelineError> {
         if let Some(linker) = &mut self.wasm {
             // In-place restore of the sealed baseline — no re-validation,
@@ -1889,8 +1903,12 @@ impl Instance {
                 PipelineError::new(Stage::Instantiate, None, PipelineErrorKind::Wasm(e))
             })?;
         }
-        if self.richwasm.is_some() {
-            self.richwasm = Some(self.artifact.build_runtime(&self.replay)?);
+        if let Some(rt) = &mut self.richwasm {
+            // In-place restore of the sealed snapshot; its only error is
+            // a missing snapshot, which falls back to a rebuild.
+            if rt.reset().is_err() {
+                *rt = self.artifact.build_runtime(&self.replay)?;
+            }
         }
         for log in &self.replay {
             log.lock().expect("host replay log poisoned").clear();
@@ -2754,7 +2772,10 @@ impl Engine {
                 entry,
                 entry_func,
                 hosts: set.hosts.clone(),
-                modules,
+                modules: modules
+                    .into_iter()
+                    .map(|(name, m)| (name, Arc::new(m)))
+                    .collect(),
                 envs,
                 link_plan,
                 lowered,

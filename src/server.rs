@@ -566,8 +566,9 @@ impl ServerInner {
 
         let result = {
             let mut inst = self.pool.checkout();
-            // Reset-on-checkin rebuilds backend state from the artifact's
-            // own config, so the per-job budget is applied per checkout.
+            // Reset-on-checkin restores both backends' fuel limits to the
+            // artifact's own config, so the per-job budget is applied per
+            // checkout.
             if let Some(fuel) = self.job_fuel {
                 if let Some(rt) = inst.richwasm.as_mut() {
                     rt.config.fuel = fuel;

@@ -615,6 +615,138 @@ fn differential_load_reproduces_agreed_results() {
     }
 }
 
+/// A recycled differential-mode instance is indistinguishable from a
+/// freshly instantiated one: jobs that allocate in both the linear and
+/// the GC'd memory (the ML/L3 stash, `churn`, an ML tower) leave the
+/// RichWasm store exactly as a fresh instance's after `reset`, and
+/// re-running them reproduces the values and both backends' step counts.
+/// The rebuild fallback (a harness linked an extra module into the
+/// runtime, dropping its snapshot) keeps the same property.
+#[test]
+fn recycled_instance_equals_a_fresh_one_in_differential_mode() {
+    let set = ModuleSet::new()
+        .ml("ml", stash_module(false))
+        .l3("l3", stash_client())
+        .richwasm("churn", churn(20))
+        .ml("tower", ml_tower(3))
+        .entry("l3");
+    let jobs = [("l3", "main"), ("churn", "main"), ("tower", "main")];
+    // (agreed results, RichWasm steps, Wasm steps) per job.
+    let run = |inst: &mut richwasm_repro::engine::Instance| {
+        jobs.iter()
+            .map(|(module, func)| {
+                let inv = inst.invoke(module, func, vec![]).unwrap();
+                let interp_steps = inv.richwasm.as_ref().unwrap().steps;
+                let wasm_steps = inst.wasm.as_ref().unwrap().last_steps();
+                (inv.results().to_vec(), interp_steps, wasm_steps)
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let artifact = Engine::new().compile(&set).unwrap();
+    let mut fresh = artifact.instantiate().unwrap();
+    let fresh_store = fresh.runtime().store.clone();
+    let fresh_config = fresh.runtime().config;
+    let expected = run(&mut fresh);
+
+    let mut inst = artifact.instantiate().unwrap();
+    assert_eq!(run(&mut inst), expected);
+    let mem = &inst.runtime().store.mem;
+    assert!(
+        mem.allocs > 0 && mem.frees > 0,
+        "the jobs allocate and free"
+    );
+    assert!(!mem.unr.is_empty(), "the jobs leave GC'd cells behind");
+    inst.runtime().config.fuel = 5;
+
+    inst.reset().unwrap();
+    assert!(inst.runtime().is_sealed());
+    assert_eq!(inst.runtime().store, fresh_store);
+    assert_eq!(inst.runtime().config, fresh_config);
+    assert_eq!(run(&mut inst), expected);
+
+    // Unsealed fallback: linking an extra module drops the snapshot, and
+    // reset rebuilds the runtime from the artifact instead.
+    inst.runtime().instantiate("extra", arith_module()).unwrap();
+    assert!(!inst.runtime().is_sealed());
+    inst.reset().unwrap();
+    assert!(inst.runtime().is_sealed());
+    assert!(inst.runtime().instance_by_name("extra").is_none());
+    assert_eq!(inst.runtime().store, fresh_store);
+    assert_eq!(inst.runtime().config, fresh_config);
+    assert_eq!(run(&mut inst), expected);
+}
+
+/// Pool checkin restores the fuel limits a checkout set on either
+/// backend to the artifact's own.
+#[test]
+fn pool_checkin_restores_the_artifact_fuel_limits() {
+    let artifact = Engine::with_config(EngineConfig::new().fuel(50_000))
+        .compile(&counter_set())
+        .unwrap();
+    // Capacity 1: the second checkout is the recycled first one.
+    let pool = artifact.pool(1).unwrap();
+    {
+        let mut inst = pool.checkout();
+        inst.wasm.as_mut().unwrap().max_steps = 5;
+        inst.runtime().config.fuel = 5;
+    }
+    let mut inst = pool.checkout();
+    assert_eq!(inst.wasm.as_ref().unwrap().max_steps, 50_000);
+    assert_eq!(inst.runtime().config.fuel, 50_000);
+    inst.invoke("app", "setup", vec![Value::i32(5)]).unwrap();
+}
+
+/// An external module asking `memory.grow` for more than the 4 GiB
+/// limit gets -1 and keeps its memory, on every Wasm tier (the check
+/// tier also demands equal fuel) instead of aborting the process.
+#[test]
+fn load_wasm_memory_grow_past_the_limit_returns_minus_one() {
+    use richwasm_repro::WasmTier;
+
+    let mut m = w::Module::default();
+    let t = m.intern_type(w::FuncType {
+        params: vec![],
+        results: vec![w::ValType::I32],
+    });
+    m.memory = Some(1);
+    // (-1 grow) + (65536 grow) + (1 grow) + size = -1 + -1 + 1 + 2 = 1.
+    let add = || w::WInstr::IBin(w::Width::W32, w::IBinOp::Add);
+    m.funcs.push(w::FuncDef {
+        type_idx: t,
+        locals: vec![],
+        body: vec![
+            w::WInstr::I32Const(-1),
+            w::WInstr::MemoryGrow,
+            w::WInstr::I32Const(65536),
+            w::WInstr::MemoryGrow,
+            add(),
+            w::WInstr::I32Const(1),
+            w::WInstr::MemoryGrow,
+            add(),
+            w::WInstr::MemorySize,
+            add(),
+        ],
+    });
+    m.exports.push(w::Export {
+        name: "main".into(),
+        kind: w::ExportKind::Func(0),
+    });
+    let bytes = encode_module(&m);
+    for tier in [WasmTier::Bytecode, WasmTier::Tree, WasmTier::Check] {
+        let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).wasm_tier(tier));
+        let mut inst = engine
+            .load_wasm(bytes.clone())
+            .unwrap()
+            .instantiate()
+            .unwrap();
+        assert_eq!(inst.invoke_entry().unwrap().i32(), Some(1), "{tier:?}");
+        // The grow that succeeded is undone by reset.
+        inst.reset().unwrap();
+        assert_eq!(inst.invoke_entry().unwrap().i32(), Some(1), "{tier:?}");
+    }
+}
+
 #[test]
 fn load_wasm_runs_external_modules_and_rejects_differential() {
     let bytes = external_wasm_bytes();
