@@ -6,6 +6,7 @@ use richwasm::syntax::instr::Block;
 use richwasm::syntax::*;
 use richwasm_l3::{translate_ty as l3_ty, L3Expr, L3Fun, L3Import, L3Module, L3Op, L3Ty};
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlGlobal, MlImport, MlModule, MlTy};
+use richwasm_wasm::ast as w;
 
 /// The linear boundary type of the Fig. 3 scenario.
 pub fn lin_ref_l3() -> L3Ty {
@@ -382,6 +383,92 @@ pub fn ml_tower(depth: u32) -> MlModule {
         }],
         ..MlModule::default()
     }
+}
+
+/// Wasm modules whose branches take shapes RichWasm lowering never
+/// emits, each exporting a nullary `main`, paired with the result the
+/// Wasm spec gives: a branch out of a parameterised `block`, `if` and
+/// `br_table` unwinds below the block's params (105), and a branch to
+/// the function's own label returns (7, 8, 3).
+pub fn wasm_branch_probes() -> Vec<(&'static str, w::Module, i32)> {
+    use w::WInstr::*;
+    fn probe(body: impl FnOnce(w::BlockType) -> Vec<w::WInstr>) -> w::Module {
+        let mut m = w::Module::default();
+        let main = m.intern_type(w::FuncType {
+            params: vec![],
+            results: vec![w::ValType::I32],
+        });
+        let param_block = m.intern_type(w::FuncType {
+            params: vec![w::ValType::I32],
+            results: vec![w::ValType::I32],
+        });
+        m.funcs.push(w::FuncDef {
+            type_idx: main,
+            locals: vec![],
+            body: body(w::BlockType::Func(param_block)),
+        });
+        m.exports.push(w::Export {
+            name: "main".into(),
+            kind: w::ExportKind::Func(0),
+        });
+        m
+    }
+    let add = || IBin(w::Width::W32, w::IBinOp::Add);
+    vec![
+        (
+            "block_param_br",
+            probe(|bt| {
+                vec![
+                    I32Const(100),
+                    I32Const(1),
+                    Block(bt, vec![I32Const(5), Br(0)]),
+                    add(),
+                ]
+            }),
+            105,
+        ),
+        (
+            "if_param_br",
+            probe(|bt| {
+                vec![
+                    I32Const(100),
+                    I32Const(1),
+                    I32Const(1),
+                    If(bt, vec![I32Const(5), Br(0)], vec![]),
+                    add(),
+                ]
+            }),
+            105,
+        ),
+        (
+            "block_param_br_table",
+            probe(|bt| {
+                vec![
+                    I32Const(100),
+                    I32Const(1),
+                    Block(bt, vec![I32Const(5), I32Const(0), BrTable(vec![0], 0)]),
+                    add(),
+                ]
+            }),
+            105,
+        ),
+        ("function_label_br", probe(|_| vec![I32Const(7), Br(0)]), 7),
+        (
+            "function_label_nested_br",
+            probe(|_| {
+                vec![Block(
+                    w::BlockType::Value(w::ValType::I32),
+                    vec![I32Const(8), Br(1)],
+                )]
+            }),
+            8,
+        ),
+        (
+            "function_label_br_if",
+            probe(|_| vec![I32Const(3), I32Const(1), BrIf(0), Drop, I32Const(4)]),
+            3,
+        ),
+    ]
 }
 
 #[cfg(test)]

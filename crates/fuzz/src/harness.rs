@@ -11,22 +11,23 @@
 //! emitted `.wasm`) and a determinism probe (reset + re-invoke must
 //! agree with the first run).
 //!
-//! The Wasm side itself is two engines since the flat-bytecode tier
-//! landed: by default (`run_case`, or [`run_case_with`] with
-//! `bytecode_check = true`) host-free cases additionally run under
-//! [`WasmTier::Check`], where the bytecode VM executes and a
-//! tree-walking oracle replays every invocation — results, trap
-//! strings, and exact fuel counts must agree, making each such case a
+//! The engine's Wasm backend runs the flat-bytecode VM. For host-free
+//! cases the harness also runs every entry invocation on a bare
+//! tree-walking [`WasmLinker`] built from the artifact's lowered
+//! modules, and the tree-walker must match the VM's results bit for
+//! bit, its trap message, and its exact step count. Each such case is a
 //! **three-way** differential (RichWasm interpreter × bytecode VM ×
-//! Wasm tree-walker). Cases with host imports keep the default
-//! bytecode tier (the oracle cannot replay host effects), still
-//! cross-checked against the RichWasm interpreter.
+//! Wasm tree-walker). Cases with host imports skip the tree-walker
+//! (a second store would run the host closures again); the RichWasm
+//! interpreter still cross-checks them.
 
 use richwasm_repro::engine::{
-    Analysis, Engine, EngineConfig, PipelineError, PipelineErrorKind, WasmTier,
+    Analysis, Artifact, Engine, EngineConfig, Instance, Invocation, PipelineError,
+    PipelineErrorKind,
 };
 use richwasm_wasm::binary::encode_module;
 use richwasm_wasm::decode_module;
+use richwasm_wasm::exec::{Val, WasmLinker};
 
 use crate::program::FuzzProgram;
 
@@ -129,21 +130,80 @@ fn fail(kind: FailureKind, detail: impl Into<String>) -> CaseOutcome {
     }
 }
 
-/// Runs one case end to end with the bytecode differential on. See the
-/// module docs for the exact checks.
-pub fn run_case(prog: &FuzzProgram) -> CaseOutcome {
-    run_case_with(prog, true)
+/// The bytecode VM's outcome of an invocation, when it reached the
+/// Wasm backend: its results, or its trap message.
+fn vm_outcome(run: &Result<Invocation, PipelineError>) -> Option<Result<Vec<Val>, String>> {
+    match run {
+        Ok(inv) => inv.wasm.clone().map(Ok),
+        Err(e) => match &e.kind {
+            PipelineErrorKind::Wasm(t) => Some(Err(t.to_string())),
+            _ => None,
+        },
+    }
 }
 
-/// [`run_case`] with an explicit bytecode-differential switch. With
-/// `bytecode_check` set, host-free cases run the Wasm side under
-/// [`WasmTier::Check`] (bytecode VM + tree-walking oracle); turning it
-/// off pins the pre-bytecode behaviour for A/B runs of the farm.
-pub fn run_case_with(prog: &FuzzProgram, bytecode_check: bool) -> CaseOutcome {
-    let mut cfg = EngineConfig::new().analysis(Analysis::Deny).fuel(CASE_FUEL);
-    if bytecode_check && prog.hosts.is_empty() {
-        cfg = cfg.wasm_tier(WasmTier::Check);
+/// Type and bit pattern of each value, so floats compare bit for bit.
+fn bits(vals: &[Val]) -> Vec<(richwasm_wasm::ValType, u64)> {
+    vals.iter()
+        .map(|v| {
+            let b = match *v {
+                Val::I32(x) => u64::from(x),
+                Val::I64(x) => x,
+                Val::F32(x) => u64::from(x.to_bits()),
+                Val::F64(x) => x.to_bits(),
+            };
+            (v.ty(), b)
+        })
+        .collect()
+}
+
+/// A sealed tree-walking store of the artifact's lowered modules, under
+/// the VM's fuel limits.
+fn tree_store(artifact: &Artifact, vm: &WasmLinker) -> Result<WasmLinker, String> {
+    let mut tree = WasmLinker::new();
+    tree.max_steps = vm.max_steps;
+    tree.max_call_depth = vm.max_call_depth;
+    for (name, m) in artifact.lowered_modules() {
+        tree.instantiate(name, m.clone())
+            .map_err(|e| format!("tree-walker failed to instantiate `{name}`: {e}"))?;
     }
+    tree.seal();
+    Ok(tree)
+}
+
+/// Re-runs the entry invocation `run` of a fresh or freshly reset
+/// instance on the tree-walking store, restored to its baseline, and
+/// returns its disagreement with the bytecode VM, if any.
+fn tier_mismatch(
+    artifact: &Artifact,
+    inst: &Instance,
+    tree: &mut WasmLinker,
+    run: &Result<Invocation, PipelineError>,
+) -> Option<String> {
+    let vm = inst.wasm.as_ref()?;
+    let vm_out = vm_outcome(run)?;
+    tree.reset().expect("the tree-walking store is sealed");
+    let entry = tree.instance_by_name(artifact.entry()?)?;
+    let tree_out = tree
+        .invoke(entry, artifact.entry_func(), &[])
+        .map_err(|e| e.to_string());
+    let agree = match (&vm_out, &tree_out) {
+        (Ok(a), Ok(b)) => bits(a) == bits(b),
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    };
+    (!agree || vm.last_steps() != tree.last_steps()).then(|| {
+        format!(
+            "bytecode VM: {vm_out:?} in {} steps; tree-walker: {tree_out:?} in {} steps",
+            vm.last_steps(),
+            tree.last_steps()
+        )
+    })
+}
+
+/// Runs one case end to end. See the module docs for the exact checks.
+pub fn run_case(prog: &FuzzProgram) -> CaseOutcome {
+    let mut cfg = EngineConfig::new().analysis(Analysis::Deny).fuel(CASE_FUEL);
     if let Some(n) = prog.gc_every {
         cfg = cfg.auto_gc_every(n);
     }
@@ -180,21 +240,41 @@ pub fn run_case_with(prog: &FuzzProgram, bytecode_check: bool) -> CaseOutcome {
         }
     }
 
-    // Dynamic half: differential invocation, twice (determinism probe).
+    // Dynamic half: differential invocation, twice (determinism probe),
+    // each checked against the tree-walker on host-free cases.
     let mut inst = match artifact.instantiate() {
         Ok(i) => i,
         Err(e) => return fail(classify(&e), e.to_string()),
     };
-    let first = match inst.invoke_entry() {
-        Ok(run) => run.i32(),
-        Err(e) => return fail(classify(&e), e.to_string()),
+    let mut tree = match inst.wasm.as_ref().filter(|_| prog.hosts.is_empty()) {
+        Some(vm) => match tree_store(&artifact, vm) {
+            Ok(tree) => Some(tree),
+            Err(detail) => return fail(FailureKind::Pipeline, detail),
+        },
+        None => None,
+    };
+    let mut invoke = |inst: &mut Instance| {
+        let run = inst.invoke_entry();
+        let mismatch = tree
+            .as_mut()
+            .and_then(|tree| tier_mismatch(&artifact, inst, tree, &run));
+        match mismatch {
+            Some(detail) => Err((FailureKind::Mismatch, detail)),
+            None => run
+                .map(|r| r.i32())
+                .map_err(|e| (classify(&e), e.to_string())),
+        }
+    };
+    let first = match invoke(&mut inst) {
+        Ok(v) => v,
+        Err((kind, detail)) => return fail(kind, detail),
     };
     if let Err(e) = inst.reset() {
         return fail(classify(&e), format!("reset failed: {e}"));
     }
-    let second = match inst.invoke_entry() {
-        Ok(run) => run.i32(),
-        Err(e) => return fail(classify(&e), format!("re-invoke after reset: {e}")),
+    let second = match invoke(&mut inst) {
+        Ok(v) => v,
+        Err((kind, detail)) => return fail(kind, format!("re-invoke after reset: {detail}")),
     };
     if first != second {
         return fail(

@@ -16,8 +16,9 @@
 //!    the checker — an accepted mutant is a soundness hole.
 //! 3. **The harness** ([`harness`]): each case runs the full engine
 //!    path — typecheck, lower, validate, encode/decode round-trip, and
-//!    differential execution (RichWasm interpreter vs lowered Wasm) with
-//!    the static re-verifier in `Analysis::Deny`. Failures are minimised
+//!    differential execution (RichWasm interpreter vs lowered Wasm on
+//!    the bytecode VM, and the VM vs the Wasm tree-walker) with the
+//!    static re-verifier in `Analysis::Deny`. Failures are minimised
 //!    ([`minimize`]) and written as reproducers.
 //!
 //! The `fuzz` binary (see `main.rs`) sweeps tens of thousands of cases
@@ -35,7 +36,7 @@ pub mod rng;
 pub mod stats;
 
 pub use gen::{gen_program, pick_tier, Tier};
-pub use harness::{run_case, run_case_with, CaseOutcome, FailureKind};
+pub use harness::{run_case, CaseOutcome, FailureKind};
 pub use minimize::minimize_module;
 pub use mutate::{mutate, MutationKind};
 pub use program::{FuzzProgram, HostBehavior, HostImportSpec, SourceModule};

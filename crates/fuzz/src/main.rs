@@ -2,12 +2,11 @@
 //!
 //! ```text
 //! fuzz [--cases N] [--adversarial N] [--seed S] [--stats-json PATH]
-//!      [--artifacts-dir DIR] [--max-failures K] [--no-bytecode-check]
+//!      [--artifacts-dir DIR] [--max-failures K]
 //! ```
 //!
-//! The bytecode-vs-tree-walker differential (`WasmTier::Check` on
-//! host-free cases) is **on** by default; `--no-bytecode-check` pins
-//! the pre-bytecode farm behaviour for A/B comparisons.
+//! Every well-typed case runs through [`run_case`], which includes the
+//! bytecode-vs-tree-walker differential on host-free cases.
 //!
 //! Seed resolution: `--seed` > `RW_FUZZ_SEED` (the proptest shim's env
 //! hook) > a fixed default. The seed is always printed — pasting it
@@ -23,8 +22,8 @@ use std::time::Instant;
 use proptest::test_runner::env_seed;
 use richwasm::typecheck::{check_module, coverage_of_module};
 use richwasm_fuzz::{
-    gen_program, minimize_module, mutate, pick_tier, run_case, run_case_with, CaseOutcome,
-    CorpusStats, FuzzProgram, MutationKind, Rng, SourceModule,
+    gen_program, minimize_module, mutate, pick_tier, run_case, CaseOutcome, CorpusStats,
+    FuzzProgram, MutationKind, Rng, SourceModule,
 };
 
 const DEFAULT_SEED: u64 = 0x5269_6368_5761_736d; // "RichWasm"
@@ -36,7 +35,6 @@ struct Args {
     stats_json: Option<PathBuf>,
     artifacts_dir: PathBuf,
     max_failures: u64,
-    bytecode_check: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -47,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         stats_json: None,
         artifacts_dir: PathBuf::from("fuzz/artifacts"),
         max_failures: 5,
-        bytecode_check: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -59,12 +56,10 @@ fn parse_args() -> Result<Args, String> {
             "--stats-json" => args.stats_json = Some(PathBuf::from(val("--stats-json")?)),
             "--artifacts-dir" => args.artifacts_dir = PathBuf::from(val("--artifacts-dir")?),
             "--max-failures" => args.max_failures = parse_u64(&val("--max-failures")?)?,
-            "--no-bytecode-check" => args.bytecode_check = false,
             "--help" | "-h" => {
                 println!(
                     "usage: fuzz [--cases N] [--adversarial N] [--seed S] \
-                     [--stats-json PATH] [--artifacts-dir DIR] [--max-failures K] \
-                     [--no-bytecode-check]"
+                     [--stats-json PATH] [--artifacts-dir DIR] [--max-failures K]"
                 );
                 std::process::exit(0);
             }
@@ -123,9 +118,8 @@ fn main() {
         }
     };
     println!(
-        "fuzz: seed={:#x} cases={} adversarial={} bytecode_check={} \
-         (reproduce with --seed {:#x})",
-        args.seed, args.cases, args.adversarial, args.bytecode_check, args.seed
+        "fuzz: seed={:#x} cases={} adversarial={} (reproduce with --seed {:#x})",
+        args.seed, args.cases, args.adversarial, args.seed
     );
 
     let t0 = Instant::now();
@@ -140,7 +134,7 @@ fn main() {
         for m in prog.rw_modules().into_iter().flatten() {
             coverage_of_module(&m, &mut stats.coverage);
         }
-        match run_case_with(&prog, args.bytecode_check) {
+        match run_case(&prog) {
             CaseOutcome::Ok { .. } => stats.record_case(tier, true, None),
             CaseOutcome::Failed { kind, detail } => {
                 stats.record_case(tier, false, Some(kind));

@@ -8,8 +8,8 @@ use richwasm::syntax::instr::Sign;
 use richwasm::syntax::{Func, Instr, Module, NumType};
 use richwasm::typecheck::{check_module, coverage_of_module, RuleCoverage};
 use richwasm_fuzz::{
-    gen_program, minimize_module, mutate, pick_tier, run_case, run_case_with, CaseOutcome,
-    FuzzProgram, MutationKind, Rng, SourceModule,
+    gen_program, minimize_module, mutate, pick_tier, run_case, CaseOutcome, FuzzProgram,
+    MutationKind, Rng, SourceModule,
 };
 
 /// Recursive instruction count — the same notion of size the minimizer
@@ -72,12 +72,11 @@ fn moderate_sweep_all_tiers() {
     );
 }
 
-/// The bytecode-tier differential sweep (PR 10 acceptance): ≥1k
-/// generated programs through the full harness with the
-/// bytecode-vs-tree-walker check on. Host-free cases run as a three-way
-/// differential — RichWasm interpreter × bytecode VM × Wasm tree-walker
-/// oracle, with trap strings and exact fuel counts compared — so any
-/// drift between the two Wasm engines surfaces as a `Mismatch` here.
+/// The bytecode-tier differential sweep: ≥1k generated programs through
+/// the full harness. Host-free cases run as a three-way differential —
+/// RichWasm interpreter × bytecode VM × Wasm tree-walker, with trap
+/// strings and exact fuel counts compared — so any drift between the
+/// two Wasm engines surfaces as a `Mismatch` here.
 #[test]
 fn bytecode_differential_sweep_1k() {
     const CASES: u64 = 1_000;
@@ -90,7 +89,7 @@ fn bytecode_differential_sweep_1k() {
         if prog.hosts.is_empty() {
             checked_three_way += 1;
         }
-        if let CaseOutcome::Failed { kind, detail } = run_case_with(&prog, true) {
+        if let CaseOutcome::Failed { kind, detail } = run_case(&prog) {
             panic!(
                 "case {i} ({}) failed [{}]: {detail}\n{}",
                 tier.name(),

@@ -51,16 +51,14 @@
 //! yet have charged before trapping, so `last_steps()` agrees there
 //! too.
 //!
-//! **Fidelity over spec.** The compiler mirrors the tree-walker — the
-//! differential oracle — rather than idealised Wasm: a branch that
-//! targets a `block`/`if` truncates to the stack height *at entry*,
-//! and a branch to the implicit function label compiles to the
-//! tree-walker's `br escaped function body` trap. Parameterised
-//! `block`/`if` bodies compile (RichWasm lowering emits them as scoping
-//! devices), but a branch **targeting** one is declined — the
-//! tree-walker's entry-height unwind would diverge from the
-//! normal-completion height there, making post-block heights
-//! path-dependent; such functions stay tree-walked.
+//! **Spec branches, total compilation.** Both tiers follow the Wasm
+//! spec: a branch to a `block`/`if` keeps its results and truncates to
+//! the height below its parameters (the height normal completion leaves
+//! too), and the function body is an implicit outermost block whose end
+//! is the fall-off-the-end epilogue, so a branch to the function label
+//! returns. Every validated body therefore compiles; `None` in a
+//! [`CompiledModule`] only marks a malformed body that validation would
+//! have rejected.
 
 use std::sync::Arc;
 
@@ -70,18 +68,13 @@ use crate::ast::*;
 /// [`encode_compiled`]). Bump on any change to [`Op`] or its encoding;
 /// a mismatch makes [`decode_compiled`] fail, and embedders fall back to
 /// recompiling from the decoded module.
-pub const BYTECODE_VERSION: u16 = 2;
-
-/// Sentinel `pc` for a branch that targets the implicit function label:
-/// the tree-walker traps (`br escaped function body`), so the VM does
-/// too.
-pub const ESCAPE_PC: u32 = u32::MAX;
+pub const BYTECODE_VERSION: u16 = 3;
 
 /// A pre-resolved branch: jump to `pc` after keeping the top `keep`
 /// values and truncating the operand stack to absolute `height`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchTarget {
-    /// Target program counter ([`ESCAPE_PC`] = function-label trap).
+    /// Target program counter.
     pub pc: u32,
     /// Values carried across the unwind (block results / loop params).
     pub keep: u32,
@@ -490,8 +483,9 @@ pub struct CompiledFunc {
 }
 
 /// The compiled form of a module: one entry per *defined* function, in
-/// definition order. `None` marks a function the compiler declined
-/// (it stays on the tree-walking tier).
+/// definition order. `None` marks a malformed body the compiler could
+/// not compile; [`crate::exec::WasmLinker::attach_compiled`] refuses a
+/// module with one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledModule {
     /// Per-function compilations.
@@ -505,11 +499,9 @@ impl CompiledModule {
     }
 }
 
-/// Compiles every defined function of a **validated** module. Functions
-/// whose tree-walker semantics cannot be expressed with static branch
-/// targets (a branch into a parameterised block) are declined (`None`)
-/// and keep the tree-walking tier; all RichWasm-lowered code compiles
-/// fully.
+/// Compiles every defined function of a **validated** module; each
+/// entry is `Some`. Unvalidated input may yield `None` entries for
+/// malformed bodies.
 pub fn compile_module(m: &Module) -> CompiledModule {
     let globals = global_types(m);
     CompiledModule {
@@ -536,9 +528,9 @@ fn global_types(m: &Module) -> Vec<ValType> {
     out
 }
 
-/// Marker: this body cannot be compiled faithfully; leave it on the
-/// tree-walking tier.
-struct Unsupported;
+/// Marker: the body is malformed (validation would reject it), so the
+/// function gets no compiled form.
+struct Malformed;
 
 enum FrameKind {
     BlockLike,
@@ -548,8 +540,8 @@ enum FrameKind {
 
 struct Frame {
     kind: FrameKind,
-    /// The tree-walker's truncate base: stack height at entry (after the
-    /// condition pop, for `if`).
+    /// Stack height at entry, params included (after the condition pop,
+    /// for `if`).
     entry_height: u32,
     params: u32,
     results: u32,
@@ -591,7 +583,20 @@ fn compile_func(m: &Module, f: &FuncDef, globals: &[ValType]) -> Option<Compiled
         unreachable: false,
         nresults: ty.results.len() as u32,
     };
+    // The body is an implicit outermost block: a branch to the function
+    // label is a forward branch to the `FallRet` epilogue.
+    c.frames.push(Frame {
+        kind: FrameKind::BlockLike,
+        entry_height: 0,
+        params: 0,
+        results: c.nresults,
+        header_pc: 0,
+        patches: Vec::new(),
+    });
     c.seq(&f.body).ok()?;
+    let frame = c.frames.pop().expect("function frame pushed above");
+    let end = c.pc();
+    c.patch_frame(frame, end);
     let keep = c.nresults;
     c.code.push(Op::FallRet { keep });
     Some(CompiledFunc {
@@ -617,11 +622,7 @@ fn fusable_ibin(op: IBinOp) -> bool {
 fn fuse(code: &[Op]) -> Vec<Op> {
     let mut is_target = vec![false; code.len() + 1];
     {
-        let mut mark = |pc: u32| {
-            if pc != ESCAPE_PC {
-                is_target[pc as usize] = true;
-            }
-        };
+        let mut mark = |pc: u32| is_target[pc as usize] = true;
         for op in code {
             match op {
                 Op::Jump(pc) | Op::IfFalse(pc) => mark(*pc),
@@ -850,13 +851,7 @@ fn fuse(code: &[Op]) -> Vec<Op> {
         i += k;
     }
     newpos[code.len()] = out.len() as u32;
-    let remap = |pc: u32| {
-        if pc == ESCAPE_PC {
-            ESCAPE_PC
-        } else {
-            newpos[pc as usize]
-        }
-    };
+    let remap = |pc: u32| newpos[pc as usize];
     for op in &mut out {
         match op {
             Op::Jump(pc)
@@ -894,54 +889,43 @@ impl Compiler<'_> {
         self.max_height = self.max_height.max(self.height);
     }
 
-    fn pop_n(&mut self, n: u32) -> Result<(), Unsupported> {
-        // Validated code never underflows; a shortfall means this body's
-        // static heights diverged from the tree-walker — decline it.
-        self.height = self.height.checked_sub(n).ok_or(Unsupported)?;
+    fn pop_n(&mut self, n: u32) -> Result<(), Malformed> {
+        // Validated code never underflows.
+        self.height = self.height.checked_sub(n).ok_or(Malformed)?;
         Ok(())
     }
 
     /// Resolves relative label `l` to a pre-computed unwind. Forward
-    /// targets (block/if ends) are recorded for patching; the caller
-    /// supplies the patch constructor for its op shape.
-    ///
-    /// A branch that targets a **parameterised** `block`/`if` is
-    /// declined: the tree-walker truncates such a branch to the height
-    /// at entry *including* the params, which differs from the
-    /// normal-completion height — post-block heights would be
-    /// path-dependent, not expressible with static targets. (RichWasm
-    /// lowering uses parameterised blocks only as branch-free scoping
-    /// devices, so this never fires on lowered code.)
+    /// targets (block/if ends, the function epilogue) are recorded for
+    /// patching; the caller supplies the patch constructor for its op
+    /// shape. Either way the unwind truncates to the frame's entry
+    /// height minus its params: a loop re-receives its params, a block
+    /// keeps its results.
     fn target(
         &mut self,
         l: u32,
         patch: impl FnOnce(usize) -> Patch,
-    ) -> Result<BranchTarget, Unsupported> {
-        let Some(idx) = self.frames.len().checked_sub(1 + l as usize) else {
-            // Targets the implicit function label: the tree-walker traps.
-            return Ok(BranchTarget {
-                pc: ESCAPE_PC,
-                keep: 0,
-                height: 0,
-            });
-        };
+    ) -> Result<BranchTarget, Malformed> {
+        let idx = self
+            .frames
+            .len()
+            .checked_sub(1 + l as usize)
+            .ok_or(Malformed)?;
         let op_idx = self.code.len();
         let f = &mut self.frames[idx];
+        let height = f.entry_height.checked_sub(f.params).ok_or(Malformed)?;
         match f.kind {
             FrameKind::Loop => Ok(BranchTarget {
                 pc: f.header_pc,
                 keep: f.params,
-                height: f.entry_height - f.params,
+                height,
             }),
             FrameKind::BlockLike | FrameKind::If => {
-                if f.params != 0 {
-                    return Err(Unsupported);
-                }
                 f.patches.push(patch(op_idx));
                 Ok(BranchTarget {
                     pc: 0, // patched when the frame ends
                     keep: f.results,
-                    height: f.entry_height,
+                    height,
                 })
             }
         }
@@ -971,12 +955,12 @@ impl Compiler<'_> {
         }
     }
 
-    fn block_arity(&self, bt: &BlockType) -> Result<(u32, u32), Unsupported> {
-        let ft = self.m.block_func_type(bt).ok_or(Unsupported)?;
+    fn block_arity(&self, bt: &BlockType) -> Result<(u32, u32), Malformed> {
+        let ft = self.m.block_func_type(bt).ok_or(Malformed)?;
         Ok((ft.params.len() as u32, ft.results.len() as u32))
     }
 
-    fn seq(&mut self, body: &[WInstr]) -> Result<(), Unsupported> {
+    fn seq(&mut self, body: &[WInstr]) -> Result<(), Malformed> {
         for e in body {
             if self.unreachable {
                 // Dead code: the tree-walker never executes it, so the
@@ -991,7 +975,7 @@ impl Compiler<'_> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn instr(&mut self, e: &WInstr) -> Result<(), Unsupported> {
+    fn instr(&mut self, e: &WInstr) -> Result<(), Malformed> {
         use WInstr::*;
         match e {
             Unreachable => {
@@ -1001,12 +985,7 @@ impl Compiler<'_> {
             Nop => self.code.push(Op::Nop),
             Block(bt, body) => {
                 let (p, r) = self.block_arity(bt)?;
-                // Parameterised blocks compile: the params stay on the
-                // stack (the body consumes them), and `entry_height`
-                // records the height *including* them — the tree-walker's
-                // branch-unwind base. Branches targeting a parameterised
-                // block are declined in `target()` (the unwound height
-                // would diverge from the normal-completion height below).
+                // The params stay on the stack for the body to consume.
                 self.code.push(Op::Meter);
                 self.frames.push(Frame {
                     kind: FrameKind::BlockLike,
@@ -1023,14 +1002,14 @@ impl Compiler<'_> {
                 self.patch_frame(frame, end);
                 // Normal completion: the body consumed the params and
                 // pushed the results.
-                self.height = entry.checked_sub(p).ok_or(Unsupported)? + r;
+                self.height = entry.checked_sub(p).ok_or(Malformed)? + r;
                 self.max_height = self.max_height.max(self.height);
                 self.unreachable = false;
             }
             Loop(bt, body) => {
                 let (p, r) = self.block_arity(bt)?;
                 if p > self.height {
-                    return Err(Unsupported);
+                    return Err(Malformed);
                 }
                 self.code.push(Op::Meter);
                 let header_pc = self.pc();
@@ -1084,7 +1063,7 @@ impl Compiler<'_> {
                 let frame = self.frames.pop().expect("frame pushed above");
                 let end = self.pc();
                 self.patch_frame(frame, end);
-                self.height = entry.checked_sub(p).ok_or(Unsupported)? + r;
+                self.height = entry.checked_sub(p).ok_or(Malformed)? + r;
                 self.max_height = self.max_height.max(self.height);
                 self.unreachable = false;
             }
@@ -1118,14 +1097,14 @@ impl Compiler<'_> {
                 self.unreachable = true;
             }
             Call(fi) => {
-                let ty = self.m.func_type(*fi).ok_or(Unsupported)?;
+                let ty = self.m.func_type(*fi).ok_or(Malformed)?;
                 let (p, r) = (ty.params.len() as u32, ty.results.len() as u32);
                 self.pop_n(p)?;
                 self.push_n(r);
                 self.code.push(Op::Call(*fi));
             }
             CallIndirect(ti) => {
-                let ty = self.m.types.get(*ti as usize).ok_or(Unsupported)?.clone();
+                let ty = self.m.types.get(*ti as usize).ok_or(Malformed)?.clone();
                 self.pop_n(1)?; // table index
                 self.pop_n(ty.params.len() as u32)?;
                 self.push_n(ty.results.len() as u32);
@@ -1154,7 +1133,7 @@ impl Compiler<'_> {
             }
             GlobalSet(i) => {
                 self.pop_n(1)?;
-                let ty = *self.globals.get(*i as usize).ok_or(Unsupported)?;
+                let ty = *self.globals.get(*i as usize).ok_or(Malformed)?;
                 self.code.push(Op::GlobalSet { idx: *i, ty });
             }
             Load(t, off) => {

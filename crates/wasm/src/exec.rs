@@ -415,18 +415,19 @@ impl WasmLinker {
     }
 
     /// Attaches flat-bytecode compilations (see [`crate::compile`]) to the
-    /// defined functions of `instance`: each function with a compiled form
-    /// is re-pointed from its tree-walked [`FuncDef`] to the bytecode VM
+    /// defined functions of `instance`: every defined function is
+    /// re-pointed from its tree-walked [`FuncDef`] to the bytecode VM
     /// (see [`crate::vm`]), which every later call — by name, by address,
-    /// or from other functions — then executes. Functions the compiler
-    /// declined (`None` entries) keep their tree-walking implementation,
-    /// so the two tiers interoperate call-by-call. Returns how many
+    /// or from other functions — then executes. Returns how many
     /// functions were re-pointed.
     ///
     /// # Errors
     ///
-    /// A [`WasmTrap`] when `instance` is unknown or `compiled` has a
-    /// different function count than the instance's defined functions.
+    /// A [`WasmTrap`] when `instance` is unknown, `compiled` has a
+    /// different function count than the instance's defined functions,
+    /// or a function has no compiled form (the compiler only declines
+    /// malformed bodies, which validation rejects). On error no function
+    /// is re-pointed.
     pub fn attach_compiled(
         &mut self,
         instance: usize,
@@ -453,14 +454,13 @@ impl WasmLinker {
                 defined.len()
             ));
         }
-        let mut attached = 0;
-        for (addr, cf) in defined.into_iter().zip(&compiled.funcs) {
-            if let Some(cf) = cf {
-                self.funcs[addr].def = FuncImpl::Compiled(cf.clone());
-                attached += 1;
-            }
+        if let Some(i) = compiled.funcs.iter().position(Option::is_none) {
+            return trap(format!("defined function {i} has no compiled form"));
         }
-        Ok(attached)
+        for (addr, cf) in defined.iter().zip(compiled.funcs.iter().flatten()) {
+            self.funcs[*addr].def = FuncImpl::Compiled(cf.clone());
+        }
+        Ok(defined.len())
     }
 
     /// Looks up an instantiated module by name.
@@ -640,10 +640,10 @@ impl WasmLinker {
             stack: Vec::new(),
             depth,
         };
-        match act.exec_seq(self, &def.body)? {
-            Flow::Normal | Flow::Return => {}
-            Flow::Br(_) => return trap("br escaped function body"),
-        }
+        // Every outcome completes the call: a branch to the function's
+        // own label (the only `Flow::Br` that can reach here) acts like
+        // `return`.
+        act.exec_seq(self, &def.body)?;
         if act.stack.len() < nresults {
             return trap("function left too few results");
         }
@@ -693,22 +693,7 @@ impl Activation {
         match e {
             Unreachable => return trap("unreachable executed"),
             Nop => {}
-            Block(bt, body) => {
-                let (_, results) = self.resolved_arity(linker, bt)?;
-                let base = self.stack.len();
-                match self.exec_seq(linker, body)? {
-                    Flow::Normal => {}
-                    Flow::Br(0) => {
-                        // Keep the top `results`, discard down to base -
-                        // params… params were already consumed by the body.
-                        let keep = self.stack.split_off(self.stack.len() - results);
-                        self.stack.truncate(base_minus(base, 0));
-                        self.stack.extend(keep);
-                    }
-                    Flow::Br(n) => return Ok(Flow::Br(n - 1)),
-                    Flow::Return => return Ok(Flow::Return),
-                }
-            }
+            Block(bt, body) => return self.exec_block(linker, bt, body),
             Loop(bt, body) => loop {
                 let (params, _) = self.resolved_arity(linker, bt)?;
                 let base = self.stack.len() - params;
@@ -727,19 +712,7 @@ impl Activation {
             },
             If(bt, t, f) => {
                 let c = self.pop_i32()?;
-                let (_, results) = self.resolved_arity(linker, bt)?;
-                let base = self.stack.len();
-                let body = if c != 0 { t } else { f };
-                match self.exec_seq(linker, body)? {
-                    Flow::Normal => {}
-                    Flow::Br(0) => {
-                        let keep = self.stack.split_off(self.stack.len() - results);
-                        self.stack.truncate(base_minus(base, 0));
-                        self.stack.extend(keep);
-                    }
-                    Flow::Br(n) => return Ok(Flow::Br(n - 1)),
-                    Flow::Return => return Ok(Flow::Return),
-                }
+                return self.exec_block(linker, bt, if c != 0 { t } else { f });
             }
             Br(l) => return Ok(Flow::Br(*l)),
             BrIf(l) => {
@@ -1028,6 +1001,29 @@ impl Activation {
         Ok(Flow::Normal)
     }
 
+    /// Runs a `block` body or the taken arm of an `if`. A branch to its
+    /// label keeps the block's results and unwinds to the height below
+    /// its parameters, as the spec requires.
+    fn exec_block(
+        &mut self,
+        linker: &mut WasmLinker,
+        bt: &BlockType,
+        body: &[WInstr],
+    ) -> Result<Flow, WasmTrap> {
+        let (params, results) = self.resolved_arity(linker, bt)?;
+        let base = self.stack.len() - params;
+        match self.exec_seq(linker, body)? {
+            Flow::Br(0) => {
+                let keep = self.stack.split_off(self.stack.len() - results);
+                self.stack.truncate(base);
+                self.stack.extend(keep);
+                Ok(Flow::Normal)
+            }
+            Flow::Br(n) => Ok(Flow::Br(n - 1)),
+            flow => Ok(flow),
+        }
+    }
+
     fn do_call(&mut self, linker: &mut WasmLinker, addr: FuncAddr) -> Result<(), WasmTrap> {
         let nparams = linker.funcs[addr].ty.params.len();
         if self.stack.len() < nparams {
@@ -1085,10 +1081,6 @@ impl Activation {
             Width::W64 => self.stack.push(Val::F64(v)),
         }
     }
-}
-
-fn base_minus(base: usize, n: usize) -> usize {
-    base.saturating_sub(n)
 }
 
 pub(crate) fn t_size(t: ValType) -> usize {

@@ -1,9 +1,9 @@
 //! Differential tests for the flat-bytecode tier: every module runs
 //! under both the tree-walking interpreter and the bytecode VM, and the
 //! two must agree on results, trap messages, **and** fuel consumption
-//! step-for-step — the property the fuzz farm's check mode pins at
-//! scale.
+//! step-for-step — the property the fuzz farm's harness pins at scale.
 
+use richwasm_bench::workloads::wasm_branch_probes;
 use richwasm_wasm::ast::*;
 use richwasm_wasm::compile::{compile_module, decode_compiled, encode_compiled};
 use richwasm_wasm::exec::{Val, WasmLinker};
@@ -29,11 +29,15 @@ fn one_func(
 }
 
 /// Instantiates `m` twice — once plain, once with the compiled module
-/// attached — invokes `name` with `args` on both, and asserts the
-/// outcomes (value or trap message) and step counts are identical.
-/// Returns the shared outcome.
+/// attached — invokes `name` with `args` on both, and asserts that every
+/// function compiled and that the outcomes (value or trap message) and
+/// step counts are identical. Returns the shared outcome.
 fn differential(m: &Module, name: &str, args: &[Val]) -> Result<Vec<Val>, String> {
     let compiled = compile_module(m);
+    assert!(
+        compiled.funcs.iter().all(Option::is_some),
+        "every validated function compiles"
+    );
 
     let mut tree = WasmLinker::new();
     let ti = tree.instantiate("m", m.clone()).expect("tree instantiate");
@@ -394,12 +398,12 @@ fn fuel_boundary_identical() {
     }
 }
 
-/// The compiler declines functions using parameterised blocks (the
-/// tree-walker's unwind makes their stack heights dynamic); such
-/// modules still execute correctly with the declining function
-/// tree-walked and the rest compiled.
+/// Parameterised blocks compile, branches into them included, and a
+/// branch unwinds below the block's params on both tiers. The shared
+/// probes add the `if`/`br_table` variants and branches to the function
+/// label, each checked against its spec value.
 #[test]
-fn parameterised_blocks_decline_but_interoperate() {
+fn parameterised_blocks_and_function_label_branches_follow_the_spec() {
     let mut m = Module::default();
     let t_unary = m.intern_type(FuncType {
         params: vec![ValType::I32],
@@ -432,9 +436,7 @@ fn parameterised_blocks_decline_but_interoperate() {
             WInstr::IBin(Width::W32, IBinOp::Mul),
         ],
     });
-    // f2 *branches to* a parameterised block: the tree-walker's unwind
-    // there is path-dependent, so this one must decline and stay
-    // tree-walked — while still interoperating with compiled callees.
+    // f2 *branches to* a parameterised block.
     m.funcs.push(FuncDef {
         type_idx: t_unary,
         locals: vec![],
@@ -459,16 +461,6 @@ fn parameterised_blocks_decline_but_interoperate() {
         name: "g".into(),
         kind: ExportKind::Func(2),
     });
-    let compiled = compile_module(&m);
-    assert!(
-        compiled.funcs[0].is_some(),
-        "branch-free param block must compile"
-    );
-    assert!(compiled.funcs[1].is_some());
-    assert!(
-        compiled.funcs[2].is_none(),
-        "a branch into a param block must decline"
-    );
     assert_eq!(
         differential(&m, "f", &[Val::I32(4)]).unwrap(),
         vec![Val::I32(50)]
@@ -477,6 +469,13 @@ fn parameterised_blocks_decline_but_interoperate() {
         differential(&m, "g", &[Val::I32(4)]).unwrap(),
         vec![Val::I32(60)]
     );
+    for (probe, m, want) in wasm_branch_probes() {
+        assert_eq!(
+            differential(&m, "main", &[]),
+            Ok(vec![Val::I32(want as u32)]),
+            "{probe}"
+        );
+    }
 }
 
 #[test]
@@ -517,6 +516,10 @@ fn codec_round_trips_byte_exact() {
     let want = tree.invoke(ti, "f", &[Val::I32(0)]).unwrap();
     let mut vm = WasmLinker::new();
     let vi = vm.instantiate("m", m).unwrap();
+    // A payload with a function missing is refused, never half-attached.
+    let mut partial = back.clone();
+    partial.funcs[0] = None;
+    assert!(vm.attach_compiled(vi, &partial).is_err());
     vm.attach_compiled(vi, &back).unwrap();
     assert_eq!(vm.invoke(vi, "f", &[Val::I32(0)]).unwrap(), want);
     assert_eq!(vm.last_steps(), tree.last_steps());

@@ -3,8 +3,7 @@
 //! The paper's whole point (§4–§6) is that *separately compiled* ML and
 //! L3 modules interoperate safely through typed linking — but a service
 //! invoking the same program N times should not pay the static pipeline
-//! N times. This module splits the one-shot [`Pipeline`](crate::pipeline)
-//! workflow into three long-lived types:
+//! N times. This module splits the workflow into three long-lived types:
 //!
 //! * [`Engine`] — owns the configuration (execution mode, fuel, auto-GC)
 //!   and a **content-addressed artifact cache** keyed by a stable hash of
@@ -21,8 +20,8 @@
 //!   threads.
 //! * [`Instance`] — a live store pair (RichWasm runtime and/or
 //!   [`WasmLinker`]) created by [`Artifact::instantiate`], supporting
-//!   repeated [`Instance::invoke`] with the same differential checking as
-//!   the one-shot driver. Instances of one artifact share nothing
+//!   repeated [`Instance::invoke`], each checked differentially across
+//!   the backends it runs. Instances of one artifact share nothing
 //!   mutable.
 //!
 //! # Example
@@ -350,26 +349,19 @@ impl Exec {
 /// Orthogonal to [`Exec`]: `Exec` picks which *backends* run (RichWasm
 /// interpreter, Wasm, or both differentially); `WasmTier` picks how the
 /// Wasm backend itself executes — flat bytecode (the default, compiled
-/// at artifact build time), the tree-walking interpreter (the original
-/// engine, kept as the oracle), or both with every invocation
-/// cross-checked.
+/// at artifact build time) or the tree-walking interpreter (the
+/// reference engine). Both follow the Wasm spec and agree step for
+/// step; the fuzz farm's harness checks that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WasmTier {
-    /// Flat-bytecode VM: function bodies are lowered to linear `Op`
-    /// sequences with pre-resolved branch targets at artifact build
-    /// time. Functions the bytecode compiler declines stay tree-walked
-    /// (the two tiers interoperate call-by-call).
+    /// Flat-bytecode VM: every function body is lowered to a linear
+    /// `Op` sequence with pre-resolved branch targets at artifact build
+    /// time.
     #[default]
     Bytecode,
     /// Tree-walking interpreter only — no bytecode is compiled, cached,
     /// or serialized. The reference engine.
     Tree,
-    /// Bytecode execution **plus** a second tree-walking store that
-    /// re-runs every invocation and must agree on results, trap
-    /// messages, and fuel, step-for-step — the tier-differential mode
-    /// the fuzz farm pins. Requires a host-free module set (host
-    /// closures would observe doubled side effects).
-    Check,
 }
 
 impl WasmTier {
@@ -377,7 +369,6 @@ impl WasmTier {
         match self {
             WasmTier::Bytecode => 0,
             WasmTier::Tree => 1,
-            WasmTier::Check => 2,
         }
     }
 
@@ -385,14 +376,8 @@ impl WasmTier {
         Some(match c {
             0 => WasmTier::Bytecode,
             1 => WasmTier::Tree,
-            2 => WasmTier::Check,
             _ => return None,
         })
-    }
-
-    /// True when this tier compiles (and serializes) flat bytecode.
-    pub fn compiles_bytecode(self) -> bool {
-        self != WasmTier::Tree
     }
 }
 
@@ -433,10 +418,6 @@ impl Timings {
     /// observable invariant of a cache hit or a pure invocation.
     pub fn no_static_stages(&self) -> bool {
         self.0.iter().all(|(s, _)| !s.is_static())
-    }
-
-    pub(crate) fn extend(&mut self, other: &Timings) {
-        self.0.extend(other.0.iter().cloned());
     }
 }
 
@@ -858,9 +839,8 @@ impl ModuleSet {
         self
     }
 
-    /// Names the exported function [`Instance::invoke_entry`] (and the
-    /// one-shot `Pipeline::run`) invoke on the entry module. Defaults to
-    /// `"main"`.
+    /// Names the exported function [`Instance::invoke_entry`] invokes on
+    /// the entry module. Defaults to `"main"`.
     pub fn entry_func(mut self, name: impl Into<String>) -> Self {
         self.entry_func = Some(name.into());
         self
@@ -1565,19 +1545,20 @@ impl Artifact {
                 let idx = linker.instantiate(name, wm.clone()).map_err(|e| {
                     PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
                 })?;
-                // Bytecode tiers: re-point the defined functions at
-                // their flat compilations (declined functions keep the
-                // tree-walker — the tiers interoperate call-by-call).
-                if config.wasm_tier.compiles_bytecode() {
-                    if let Some((_, cm)) = inner.compiled.iter().find(|(n, _)| n == name) {
-                        linker.attach_compiled(idx, cm).map_err(|e| {
-                            PipelineError::new(
-                                Stage::Instantiate,
-                                Some(name),
-                                PipelineErrorKind::Wasm(e),
-                            )
-                        })?;
-                    }
+                // Bytecode tier: re-point every defined function at its
+                // flat compilation.
+                if config.wasm_tier == WasmTier::Bytecode {
+                    let attached = match inner.compiled.iter().find(|(n, _)| n == name) {
+                        Some((_, cm)) => linker.attach_compiled(idx, cm),
+                        None => Err(WasmTrap(format!("module `{name}` has no bytecode"))),
+                    };
+                    attached.map_err(|e| {
+                        PipelineError::new(
+                            Stage::Instantiate,
+                            Some(name),
+                            PipelineErrorKind::Wasm(e),
+                        )
+                    })?;
                 }
             }
             // Baseline for cheap Instance::reset.
@@ -1587,41 +1568,11 @@ impl Artifact {
             None
         };
 
-        // Check tier: a second, tree-walking-only store of the same
-        // modules; `Instance::invoke` re-runs every invocation on it
-        // and cross-checks results, traps, and fuel (see `oracle_check`).
-        let wasm_oracle = if config.exec.wants_wasm() && config.wasm_tier == WasmTier::Check {
-            if !inner.hosts.is_empty() {
-                return Err(PipelineError::new(
-                    Stage::Instantiate,
-                    None,
-                    PipelineErrorKind::Unsupported(
-                        "WasmTier::Check requires a host-free module set: the oracle \
-                         re-runs every invocation, which would double host side effects"
-                            .into(),
-                    ),
-                ));
-            }
-            let mut oracle = WasmLinker::new();
-            if let Some(fuel) = config.fuel {
-                oracle.max_steps = fuel;
-            }
-            for (name, wm) in &inner.lowered {
-                oracle.instantiate(name, wm.clone()).map_err(|e| {
-                    PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
-                })?;
-            }
-            oracle.seal();
-            Some(oracle)
-        } else {
-            None
-        };
         timings.add(Stage::Instantiate, t0.elapsed());
 
         Ok(Instance {
             richwasm,
             wasm,
-            wasm_oracle,
             artifact: self.clone(),
             timings,
             invocations: 0,
@@ -1686,18 +1637,12 @@ pub struct Instance {
     /// The Wasm interpreter with every lowered module instantiated
     /// (present unless the engine runs in [`Exec::Interp`] mode).
     pub wasm: Option<WasmLinker>,
-    /// The tree-walking oracle store ([`WasmTier::Check`] only): a
-    /// second instantiation of the same modules with no bytecode
-    /// attached, re-run and cross-checked on every invocation.
-    pub wasm_oracle: Option<WasmLinker>,
     artifact: Artifact,
     timings: Timings,
     invocations: u64,
     /// Host-call record/replay channels (differential mode only), cleared
-    /// at the start of every invocation. `pub(crate)` so the `Pipeline`
-    /// facade can carry them into its `Program` when it dismantles the
-    /// instance.
-    pub(crate) replay: Vec<ReplayLog>,
+    /// at the start of every invocation.
+    replay: Vec<ReplayLog>,
 }
 
 impl Instance {
@@ -1764,76 +1709,7 @@ impl Instance {
     ) -> Result<Invocation, PipelineError> {
         self.begin_invocation();
         let exec = self.exec_mode();
-        let oracle_args = self.wasm_oracle.as_ref().map(|_| args.clone());
-        let result = invoke_backends(&mut self.richwasm, &mut self.wasm, exec, module, func, args);
-        if let Some(args) = oracle_args {
-            self.oracle_check(module, func, &args, &result)?;
-        }
-        result
-    }
-
-    /// [`WasmTier::Check`]: replays the invocation on the tree-walking
-    /// oracle store and demands bit-identical results (or identical trap
-    /// messages) *and* an identical fuel count. Any divergence is a
-    /// [`Stage::Differential`] mismatch — the property the fuzz farm's
-    /// tier-differential mode sweeps at scale.
-    fn oracle_check(
-        &mut self,
-        module: &str,
-        func: &str,
-        args: &[Value],
-        main: &Result<Invocation, PipelineError>,
-    ) -> Result<(), PipelineError> {
-        let (Some(oracle), Some(linker)) = (&mut self.wasm_oracle, &self.wasm) else {
-            return Ok(());
-        };
-        // The bytecode-side outcome on the Wasm backend. Failures that
-        // never reached that backend (unknown module, un-lowerable
-        // arguments, interpreter-side errors) have nothing to check.
-        let main_out: Result<Vec<Val>, String> = match main {
-            Ok(inv) => match &inv.wasm {
-                Some(vals) => Ok(vals.clone()),
-                None => return Ok(()),
-            },
-            Err(e) => match &e.kind {
-                PipelineErrorKind::Wasm(t) => Err(t.to_string()),
-                _ => return Ok(()),
-            },
-        };
-        let mut wargs = Vec::new();
-        for a in args {
-            match flatten_value(a) {
-                Some(flat) => wargs.extend(flat),
-                None => return Ok(()),
-            }
-        }
-        let Some(inst) = oracle.instance_by_name(module) else {
-            return Ok(());
-        };
-        let oracle_out: Result<Vec<Val>, String> =
-            oracle.invoke(inst, func, &wargs).map_err(|e| e.to_string());
-        let outcomes_agree = match (&main_out, &oracle_out) {
-            (Ok(a), Ok(b)) => vals_equal(a, b),
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !outcomes_agree || linker.last_steps() != oracle.last_steps() {
-            return Err(PipelineError::new(
-                Stage::Differential,
-                Some(module),
-                PipelineErrorKind::Mismatch {
-                    richwasm: format!(
-                        "tree-walker oracle: {oracle_out:?} in {} steps",
-                        oracle.last_steps()
-                    ),
-                    wasm: format!(
-                        "bytecode tier: {main_out:?} in {} steps",
-                        linker.last_steps()
-                    ),
-                },
-            ));
-        }
-        Ok(())
+        invoke_backends(&mut self.richwasm, &mut self.wasm, exec, module, func, args)
     }
 
     /// Invokes the entry function (default `"main"`, see
@@ -1895,11 +1771,6 @@ impl Instance {
             // In-place restore of the sealed baseline — no re-validation,
             // no import re-resolution.
             linker.reset().map_err(|e| {
-                PipelineError::new(Stage::Instantiate, None, PipelineErrorKind::Wasm(e))
-            })?;
-        }
-        if let Some(oracle) = &mut self.wasm_oracle {
-            oracle.reset().map_err(|e| {
                 PipelineError::new(Stage::Instantiate, None, PipelineErrorKind::Wasm(e))
             })?;
         }
@@ -2507,14 +2378,6 @@ impl Engine {
         Ok(pool.invoke_batch(workers.max(1), jobs))
     }
 
-    /// A full compile that bypasses the cache entirely (no lookup, no
-    /// insertion, no stats). Used by the one-shot `Pipeline` facade,
-    /// whose throwaway engines could never hit the cache anyway —
-    /// caching there would only keep a dead artifact copy alive.
-    pub(crate) fn compile_uncached(&self, set: &ModuleSet) -> Result<Artifact, PipelineError> {
-        self.compile_cold(set, cache_key(&self.config, set))
-    }
-
     /// The full static pipeline, no cache involved.
     fn compile_cold(&self, set: &ModuleSet, key: CacheKey) -> Result<Artifact, PipelineError> {
         let config = &self.config;
@@ -2741,7 +2604,7 @@ impl Engine {
         // ops (timed under `Encode` — it is the other build-time code
         // emission). Tree tier skips this entirely.
         let mut compiled = Vec::new();
-        if config.exec.wants_wasm() && config.wasm_tier.compiles_bytecode() {
+        if config.exec.wants_wasm() && config.wasm_tier == WasmTier::Bytecode {
             let t0 = Instant::now();
             for (name, wm) in &lowered {
                 compiled.push((name.clone(), compile_wasm_bytecode(wm)));
@@ -2833,10 +2696,9 @@ fn vals_equal(a: &[Val], b: &[Val]) -> bool {
         })
 }
 
-/// The shared invocation path of [`Instance::invoke`] and the
-/// compatibility `Program::invoke`: run every available backend,
-/// cross-check in differential mode.
-pub(crate) fn invoke_backends(
+/// The invocation path of [`Instance::invoke`]: run every available
+/// backend, cross-check in differential mode.
+fn invoke_backends(
     richwasm: &mut Option<Runtime>,
     wasm: &mut Option<WasmLinker>,
     exec: Exec,

@@ -22,8 +22,6 @@
 //!   types, then lookup-free calls) and host functions
 //!   ([`ModuleSet::host_fn`](engine::ModuleSet::host_fn)) installed into
 //!   both backends so differential checking spans host calls.
-//! * [`pipeline`] — the original one-shot [`Pipeline`] builder, now a
-//!   thin facade over the engine (one full compile per `build`).
 //! * [`server`] — open-loop serving on top of the engine: an
 //!   [`EngineServer`] accepts jobs through bounded per-tenant queues
 //!   (non-blocking submission, backpressure instead of unbounded
@@ -32,7 +30,6 @@
 
 pub mod call;
 pub mod engine;
-pub mod pipeline;
 pub mod server;
 
 pub use call::{HostSig, HostVal, HostValType, TypedFunc, WasmParams, WasmResults, WasmTy};
@@ -41,7 +38,6 @@ pub use engine::{
     Invocation, Job, ModuleSet, PipelineError, PipelineErrorKind, PoolStats, PooledInstance,
     Source, Stage, Timings, WasmBytes, WasmTier,
 };
-pub use pipeline::{Pipeline, Program, Report, Run};
 pub use richwasm;
 pub use richwasm_analyze as analyze;
 pub use richwasm_l3 as l3;

@@ -23,6 +23,8 @@
 //!   ([`ServerConfig::job_fuel`]) on both backends; an exhausted job
 //!   fails with [`JobError::FuelExhausted`] without poisoning its
 //!   instance — checkin resets it, so the next job gets a fresh program.
+//!   A job that panics (say, in a host closure) resolves with
+//!   [`JobError::Panicked`] the same way; its worker keeps serving.
 //! * **Latency telemetry.** Enqueue→start→finish timestamps feed a
 //!   fixed-size log-bucketed histogram; [`ServerStats`] reports
 //!   throughput, queue depth, shed count, and p50/p90/p99 latency.
@@ -61,8 +63,10 @@
 //! println!("{}", server.stats());
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -215,6 +219,10 @@ pub enum JobError {
     /// The job failed for any other reason (trap, mismatch, …), rendered
     /// from the underlying [`PipelineError`].
     Failed(String),
+    /// The job panicked (for example in a host closure); the payload's
+    /// message. The worker survives, and the instance is reset like
+    /// after any other failure.
+    Panicked(String),
 }
 
 impl JobError {
@@ -237,11 +245,23 @@ impl fmt::Display for JobError {
                  minimum of {required} steps"
             ),
             JobError::Failed(reason) => write!(f, "job failed: {reason}"),
+            JobError::Panicked(msg) => write!(f, "job panicked: {msg}"),
         }
     }
 }
 
 impl std::error::Error for JobError {}
+
+/// The message of a caught panic: its `&str` or `String` payload.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// Where one job's time went: enqueue→start (queueing) and
 /// start→finish (service).
@@ -564,7 +584,10 @@ impl ServerInner {
             }
         }
 
-        let result = {
+        // A panicking host closure unwinds out of `invoke`; catching it
+        // here keeps the worker alive, and the ticket and the tenant's
+        // in-flight slot still resolve.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut inst = self.pool.checkout();
             // Reset-on-checkin restores both backends' fuel limits to the
             // artifact's own config, so the per-job budget is applied per
@@ -576,22 +599,18 @@ impl ServerInner {
                 if let Some(linker) = inst.wasm.as_mut() {
                     linker.max_steps = fuel;
                 }
-                // The Check-tier oracle must meter the same budget, or
-                // fuel preemption would masquerade as a tier mismatch.
-                if let Some(oracle) = inst.wasm_oracle.as_mut() {
-                    oracle.max_steps = fuel;
-                }
             }
             let job = &queued_job.job;
             inst.invoke(&job.module, &job.func, job.args.clone())
-            // Drop = checkin = reset: a trapped or fuel-preempted job
-            // cannot poison the instance for the next checkout.
+            // Drop = checkin = reset, on unwind too: a trapped, preempted
+            // or panicked job cannot poison the instance for the next
+            // checkout.
+        }));
+        let result = match result {
+            Ok(result) => result.map_err(|e| JobError::from_pipeline(&e)),
+            Err(payload) => Err(JobError::Panicked(panic_message(payload.as_ref()))),
         };
-        self.finish_job(
-            queued_job,
-            start,
-            result.map_err(|e| JobError::from_pipeline(&e)),
-        );
+        self.finish_job(queued_job, start, result);
     }
 
     fn worker_loop(&self, worker: usize) {

@@ -10,7 +10,6 @@ use richwasm_bench::workloads::{
     arith_chain, churn, counter_client, counter_library, ml_tower, stash_client, stash_module,
 };
 use richwasm_repro::engine::{Analysis, Engine, EngineConfig, ModuleSet};
-use richwasm_repro::Pipeline;
 
 /// Every scenario module set the test-suite scenarios (E1–E12) compile,
 /// under its scenario label.
@@ -137,19 +136,20 @@ fn entry_min_steps_is_a_true_interpreter_lower_bound() {
         "unknown exports have no bound"
     );
 
-    let infeasible = Pipeline::new().richwasm("m", churn(25)).fuel(min - 1).run();
-    let err = infeasible.expect_err("a budget below the static minimum cannot complete");
+    let run = |fuel| {
+        Engine::with_config(EngineConfig::new().fuel(fuel))
+            .instantiate(&ModuleSet::new().richwasm("m", churn(25)))
+            .unwrap()
+            .invoke_entry()
+    };
+    let err = run(min - 1).expect_err("a budget below the static minimum cannot complete");
     assert!(
         err.is_fuel_exhausted(),
         "expected fuel exhaustion, got: {err}"
     );
 
-    let feasible = Pipeline::new()
-        .richwasm("m", churn(25))
-        .fuel(10_000_000)
-        .run()
-        .expect("a generous budget completes");
-    assert_eq!(feasible.result.i32(), Some(25));
+    let feasible = run(10_000_000).expect("a generous budget completes");
+    assert_eq!(feasible.i32(), Some(25));
 }
 
 #[test]

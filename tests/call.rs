@@ -344,36 +344,6 @@ fn host_fn_works_on_each_single_backend() {
 }
 
 #[test]
-fn host_fn_through_the_pipeline_facade() {
-    // The one-shot facade carries the record/replay channels too: host
-    // side effects stay once-per-invocation across repeated
-    // `Program::invoke` calls.
-    let calls = Arc::new(AtomicU32::new(0));
-    let seen = calls.clone();
-    let run = richwasm_repro::Pipeline::new()
-        .richwasm("client", host_client())
-        .host_fn(
-            "host",
-            "tick",
-            HostSig::new([HostValType::I32], [HostValType::I32]),
-            move |args| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                Ok(vec![args[0]])
-            },
-        )
-        .run()
-        .unwrap();
-    assert_eq!(run.result.i32(), Some(6));
-    assert_eq!(calls.load(Ordering::SeqCst), 1, "recorded once, replayed");
-    let mut program = run.program;
-    assert_eq!(
-        program.invoke("client", "main", vec![]).unwrap().i32(),
-        Some(6)
-    );
-    assert_eq!(calls.load(Ordering::SeqCst), 2);
-}
-
-#[test]
 fn host_fn_error_traps_on_both_backends() {
     let set = ModuleSet::new().richwasm("client", host_client()).host_fn(
         "host",
@@ -504,24 +474,12 @@ fn entry_func_is_configurable() {
         .instantiate(&ModuleSet::new().richwasm("m", m.clone()))
         .unwrap();
     assert!(inst.invoke_entry().is_err());
-    // …and the configured entry function succeeds, through both the
-    // engine and the one-shot facade.
+    // …and the configured entry function succeeds.
     let mut inst = engine
-        .instantiate(
-            &ModuleSet::new()
-                .richwasm("m", m.clone())
-                .entry_func("start"),
-        )
+        .instantiate(&ModuleSet::new().richwasm("m", m).entry_func("start"))
         .unwrap();
     assert_eq!(inst.invoke_entry().unwrap().i32(), Some(7));
     assert_eq!(inst.artifact().entry_func(), "start");
-
-    let run = richwasm_repro::Pipeline::new()
-        .richwasm("m", m)
-        .entry_func("start")
-        .run()
-        .unwrap();
-    assert_eq!(run.result.i32(), Some(7));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! * cache hits are **content-addressed** and byte-identical to a cold
 //!   compile (same `.wasm` bytes, same artifact);
 //! * N invocations through one long-lived [`Instance`] agree with N
-//!   fresh one-shot [`Pipeline`] runs in differential mode;
+//!   runs on fresh engines in differential mode;
 //! * two instances of one artifact share no mutable state;
 //! * no cached or instantiated path ever re-runs a static stage
 //!   (observable through [`Timings`]);
@@ -27,7 +27,6 @@ use richwasm_l3::L3Error;
 use richwasm_lower::LowerError;
 use richwasm_ml::MlError;
 use richwasm_repro::engine::{Engine, Job, ModuleSet, PipelineError, PipelineErrorKind, Stage};
-use richwasm_repro::pipeline::Pipeline;
 use richwasm_repro::{HostSig, HostVal, HostValType};
 use richwasm_wasm::exec::WasmTrap;
 use richwasm_wasm::validate::ValidationError;
@@ -80,9 +79,9 @@ fn cache_hit_returns_byte_identical_wasm() {
 
 #[test]
 fn instance_invocations_match_fresh_pipeline_runs() {
-    // N invocations through ONE instance vs N one-shot Pipeline runs,
-    // both in differential mode (so each side is additionally
-    // cross-checked against its own lowering).
+    // N invocations through ONE instance vs N runs that each compile on
+    // a fresh engine, both in differential mode (so each side is
+    // additionally cross-checked against its own lowering).
     const N: usize = 5;
     let engine = Engine::new();
     let mut instance = engine.instantiate(&stash_set()).unwrap();
@@ -92,13 +91,11 @@ fn instance_invocations_match_fresh_pipeline_runs() {
 
     let through_pipeline: Vec<Option<i32>> = (0..N)
         .map(|_| {
-            Pipeline::new()
-                .ml("ml", stash_module(false))
-                .l3("l3", stash_client())
-                .entry("l3")
-                .run()
-                .expect("one-shot run")
-                .result
+            Engine::new()
+                .instantiate(&stash_set())
+                .expect("fresh compile")
+                .invoke_entry()
+                .expect("fresh run")
                 .i32()
         })
         .collect();
@@ -158,23 +155,6 @@ fn instance_reset_restores_fresh_state() {
         Some(2)
     );
     assert!(inst.timings().no_static_stages());
-}
-
-#[test]
-fn facade_and_engine_produce_identical_binaries() {
-    // The one-shot Pipeline is a facade over the engine: same module set,
-    // same bytes.
-    let engine_bytes = Engine::new()
-        .compile(&counter_set())
-        .unwrap()
-        .wasm_binaries()
-        .to_vec();
-    let facade = Pipeline::new()
-        .l3("gfx", counter_library())
-        .ml("app", counter_client())
-        .build()
-        .unwrap();
-    assert_eq!(engine_bytes, facade.report.binaries);
 }
 
 /// `add : [i32, i32] -> [i32]`, plus a `main` returning 7 so the set has
@@ -698,8 +678,8 @@ fn pool_checkin_restores_the_artifact_fuel_limits() {
 }
 
 /// An external module asking `memory.grow` for more than the 4 GiB
-/// limit gets -1 and keeps its memory, on every Wasm tier (the check
-/// tier also demands equal fuel) instead of aborting the process.
+/// limit gets -1 and keeps its memory, on both Wasm tiers and at equal
+/// fuel, instead of aborting the process.
 #[test]
 fn load_wasm_memory_grow_past_the_limit_returns_minus_one() {
     use richwasm_repro::WasmTier;
@@ -733,7 +713,8 @@ fn load_wasm_memory_grow_past_the_limit_returns_minus_one() {
         kind: w::ExportKind::Func(0),
     });
     let bytes = encode_module(&m);
-    for tier in [WasmTier::Bytecode, WasmTier::Tree, WasmTier::Check] {
+    let mut steps = Vec::new();
+    for tier in [WasmTier::Bytecode, WasmTier::Tree] {
         let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).wasm_tier(tier));
         let mut inst = engine
             .load_wasm(bytes.clone())
@@ -744,7 +725,9 @@ fn load_wasm_memory_grow_past_the_limit_returns_minus_one() {
         // The grow that succeeded is undone by reset.
         inst.reset().unwrap();
         assert_eq!(inst.invoke_entry().unwrap().i32(), Some(1), "{tier:?}");
+        steps.push(inst.wasm.as_ref().unwrap().last_steps());
     }
+    assert_eq!(steps[0], steps[1], "the tiers must agree on fuel");
 }
 
 #[test]
@@ -929,8 +912,8 @@ fn artifact_serialize_round_trips_and_rejects_tampering() {
     assert!(hosted.serialize().is_none());
 }
 
-// PR 10: the flat-bytecode tier — `.rwart` v3 persistence, the
-// tree-walker oracle (`WasmTier::Check`), and stale-format fallbacks.
+// The flat-bytecode tier: `.rwart` v3 persistence, step-for-step
+// agreement with the tree tier, and stale-format fallbacks.
 
 /// The engine-side FNV-1a-128 the artifact checksum uses, replicated so
 /// tests can re-seal deliberately tampered payloads and reach the
@@ -1059,65 +1042,64 @@ fn stale_bytecode_payload_recompiles_without_a_cold_compile() {
     );
 }
 
+/// The bytecode and tree tiers agree on every result and on the step
+/// count of every invocation: on the counter scenario across a reset,
+/// and on external modules whose branches the lowering never emits
+/// (a branch out of a parameterised block, a branch to the function
+/// label), which both must run per the Wasm spec.
 #[test]
-fn check_tier_pins_bytecode_against_the_tree_walker() {
-    use richwasm_repro::WasmTier;
+fn bytecode_tier_matches_the_tree_tier_step_for_step() {
+    use richwasm_bench::workloads::wasm_branch_probes;
+    use richwasm_repro::{Instance, WasmTier};
 
-    // Host-free sets run with the oracle cross-checking every invoke.
-    let engine = Engine::with_config(
-        EngineConfig::new()
-            .exec(Exec::Wasm)
-            .wasm_tier(WasmTier::Check),
-    );
-    let mut inst = engine.instantiate(&counter_set()).unwrap();
-    assert!(inst.wasm_oracle.is_some(), "Check tier builds the oracle");
-    inst.invoke("app", "setup", vec![Value::i32(5)]).unwrap();
-    for _ in 0..10 {
-        inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
+    fn run(inst: &mut Instance, func: &str, arg: Value) -> (Option<i32>, u64) {
+        let out = inst.invoke("app", func, vec![arg]).unwrap().i32();
+        (out, inst.wasm.as_ref().unwrap().last_steps())
     }
-    assert_eq!(
-        inst.invoke("app", "total", vec![Value::Unit])
-            .unwrap()
-            .i32(),
-        Some(50)
-    );
+    let engines: Vec<Engine> = [WasmTier::Bytecode, WasmTier::Tree]
+        .into_iter()
+        .map(|t| Engine::with_config(EngineConfig::new().exec(Exec::Wasm).wasm_tier(t)))
+        .collect();
+    let mut insts: Vec<Instance> = engines
+        .iter()
+        .map(|e| e.instantiate(&counter_set()).unwrap())
+        .collect();
+    for (setup, bumps) in [(5, 10), (1, 1)] {
+        let traces: Vec<Vec<(Option<i32>, u64)>> = insts
+            .iter_mut()
+            .map(|inst| {
+                let mut trace = vec![run(inst, "setup", Value::i32(setup))];
+                for _ in 0..bumps {
+                    trace.push(run(inst, "bump", Value::Unit));
+                }
+                trace.push(run(inst, "total", Value::Unit));
+                // The second round starts from a reset instance.
+                inst.reset().unwrap();
+                trace
+            })
+            .collect();
+        assert_eq!(traces[0], traces[1], "setup {setup}, {bumps} bumps");
+        assert_eq!(traces[0].last().unwrap().0, Some(setup * bumps));
+    }
 
-    // Reset rewinds the oracle with the main store.
-    inst.reset().unwrap();
-    inst.invoke("app", "setup", vec![Value::i32(1)]).unwrap();
-    inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
-    assert_eq!(
-        inst.invoke("app", "total", vec![Value::Unit])
-            .unwrap()
-            .i32(),
-        Some(1)
-    );
+    for (probe, m, want) in wasm_branch_probes() {
+        let steps: Vec<u64> = engines
+            .iter()
+            .map(|e| {
+                let artifact = e.load_wasm(encode_module(&m)).unwrap();
+                let mut inst = artifact.instantiate().unwrap();
+                assert_eq!(inst.invoke_entry().unwrap().i32(), Some(want), "{probe}");
+                inst.wasm.as_ref().unwrap().last_steps()
+            })
+            .collect();
+        assert_eq!(steps[0], steps[1], "{probe}: the tiers must agree on fuel");
+    }
 
     // Tier choice is part of the fingerprint, hence the cache key.
-    let tiered = EngineConfig::new().wasm_tier(WasmTier::Check);
     assert_ne!(
-        tiered.fingerprint(),
-        EngineConfig::new().fingerprint(),
+        engines[0].config().fingerprint(),
+        engines[1].config().fingerprint(),
         "tier must contribute to the configuration fingerprint"
-    );
-
-    // With host functions, Check refuses instead of doubling effects.
-    let hosted = ModuleSet::new().richwasm("m", ticker_module()).host_fn(
-        "host",
-        "tick",
-        HostSig::new([HostValType::I32], [HostValType::I32]),
-        |_| Ok(vec![HostVal::I32(1)]),
-    );
-    let err = Engine::with_config(
-        EngineConfig::new()
-            .exec(Exec::Wasm)
-            .wasm_tier(WasmTier::Check),
-    )
-    .instantiate(&hosted)
-    .expect_err("Check tier with hosts must refuse");
-    assert!(
-        matches!(err.kind, PipelineErrorKind::Unsupported(_)),
-        "{err}"
     );
 }
 

@@ -5,6 +5,8 @@
 //!   rejected, a full tenant queue sheds with `Backpressure`;
 //! * fuel preemption fails the one hot job, not the server: the next
 //!   job on the same (recycled) instance succeeds;
+//! * a panicking host closure fails its job with `Panicked`, and the
+//!   worker, the instance and the counters survive it;
 //! * `drain` under concurrent submitters resolves **every** accepted
 //!   ticket (zero dropped) and rejects everything after;
 //! * the telemetry counters account for exactly what happened.
@@ -208,6 +210,67 @@ fn fuel_preemption_fails_the_job_not_the_server() {
     // poison it.
     assert_eq!(quick.wait().result.expect("quick job ran").i32(), Some(10));
     server.drain();
+}
+
+#[test]
+fn panicking_host_fails_the_job_not_the_server() {
+    // `f(x)` returns `host.double(x)`; the host panics on 0.
+    let i32t = syntax::Type::num(NumType::I32);
+    let m = syntax::Module {
+        funcs: vec![
+            syntax::Func::Imported {
+                exports: vec![],
+                module: "host".into(),
+                name: "double".into(),
+                ty: syntax::FunType::mono(vec![i32t.clone()], vec![i32t.clone()]),
+            },
+            syntax::Func::Defined {
+                exports: vec!["f".into()],
+                ty: syntax::FunType::mono(vec![i32t.clone()], vec![i32t]),
+                locals: vec![],
+                body: vec![
+                    syntax::Instr::GetLocal(0, syntax::Qual::Unr),
+                    syntax::Instr::Call(0, vec![]),
+                ],
+            },
+        ],
+        ..syntax::Module::default()
+    };
+    let set = ModuleSet::new().richwasm("m", m).host_fn(
+        "host",
+        "double",
+        HostSig::new([HostValType::I32], [HostValType::I32]),
+        |args| match args[0] {
+            HostVal::I32(0) => panic!("host refuses 0"),
+            HostVal::I32(x) => Ok(vec![HostVal::I32(2 * x)]),
+            _ => Err("expected i32".into()),
+        },
+    );
+    let artifact = Engine::new().compile(&set).unwrap();
+    let server = EngineServer::start(
+        &artifact,
+        ServerConfig::new()
+            .workers(1)
+            .tenant("t", TenantConfig::new()),
+    )
+    .unwrap();
+    let job = |x| Job::new("m", "f", vec![syntax::Value::i32(x)]);
+
+    let boom = server.submit("t", job(0)).unwrap();
+    let next = server.submit("t", job(21)).unwrap();
+    assert_eq!(
+        boom.wait().result.expect_err("the host panicked"),
+        JobError::Panicked("host refuses 0".into())
+    );
+    // Same worker, same (reset) instance.
+    assert_eq!(next.wait().result.expect("next job ran").i32(), Some(42));
+    server.drain();
+
+    let stats = server.stats();
+    assert_eq!(stats.completed, 2);
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
+    let pool = server.pool_stats();
+    assert_eq!((pool.checkouts, pool.recycled, pool.lost), (2, 2, 0));
 }
 
 #[test]
