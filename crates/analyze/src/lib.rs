@@ -18,7 +18,6 @@
 //! (`Stage::Analyze`); diagnostics carry a [`Severity`] so the engine's
 //! `analysis: Off | Warn | Deny` knob can decide what to do with them.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;

@@ -34,7 +34,6 @@
 //! check_module(&m).expect("well-typed");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod env;

@@ -27,7 +27,6 @@
 //! one is an **L3-level** error here (and would also be caught by the
 //! RichWasm checker).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

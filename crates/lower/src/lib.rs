@@ -36,7 +36,6 @@
 //!   same free list and reclaimed only when explicitly freed; the paper
 //!   likewise notes RichWasm needs its own GC on stock Wasm.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

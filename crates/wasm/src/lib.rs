@@ -26,7 +26,6 @@
 //! assert_eq!(out, vec![richwasm_wasm::exec::Val::I32(42)]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -49,9 +49,11 @@
 //! assert_eq!(engine.cache_stats().hits, 1);
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -218,6 +220,9 @@ pub enum PipelineErrorKind {
     },
     /// The request cannot be expressed on the selected backend(s).
     Unsupported(String),
+    /// The invocation panicked (for example in a host closure); the
+    /// payload's message. Only the batch APIs contain a panic this way.
+    Panicked(String),
 }
 
 impl fmt::Display for PipelineErrorKind {
@@ -240,6 +245,7 @@ impl fmt::Display for PipelineErrorKind {
                 )
             }
             PipelineErrorKind::Unsupported(what) => write!(f, "unsupported: {what}"),
+            PipelineErrorKind::Panicked(msg) => write!(f, "panicked: {msg}"),
         }
     }
 }
@@ -304,8 +310,8 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        // Every wrapped layer error chains; only the two kinds without an
-        // underlying error value (Mismatch, Unsupported) terminate here.
+        // Every wrapped layer error chains; only the kinds without an
+        // underlying error value terminate here.
         match &self.kind {
             PipelineErrorKind::Ml(e) => Some(e),
             PipelineErrorKind::L3(e) => Some(e),
@@ -318,7 +324,8 @@ impl std::error::Error for PipelineError {
             PipelineErrorKind::Wasm(e) => Some(e),
             PipelineErrorKind::Mismatch { .. }
             | PipelineErrorKind::Unsupported(_)
-            | PipelineErrorKind::Artifact(_) => None,
+            | PipelineErrorKind::Artifact(_)
+            | PipelineErrorKind::Panicked(_) => None,
         }
     }
 }
@@ -1735,6 +1742,21 @@ impl Instance {
         self.invoke(&entry, &func, vec![])
     }
 
+    /// Invokes `job`, turning a panic (say, in a host closure) into a
+    /// [`PipelineErrorKind::Panicked`] error at [`Stage::Execute`].
+    fn invoke_contained(&mut self, job: &Job) -> Result<Invocation, PipelineError> {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            self.invoke(&job.module, &job.func, job.args.clone())
+        }))
+        .unwrap_or_else(|payload| {
+            Err(PipelineError::new(
+                Stage::Execute,
+                Some(&job.module),
+                PipelineErrorKind::Panicked(panic_message(payload.as_ref())),
+            ))
+        })
+    }
+
     /// Rewinds the instance to its freshly instantiated state without
     /// re-running any static stage: the Wasm store restores its sealed
     /// baseline in place (memories, globals, tables and fuel limits), and
@@ -1793,6 +1815,17 @@ impl Instance {
         }
         self.invocations = 0;
         Ok(())
+    }
+}
+
+/// The message of a caught panic: its `&str` or `String` payload.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -2039,7 +2072,9 @@ impl InstancePool {
     /// and the host record/replay queues strictly per-instance.
     ///
     /// `workers` is clamped to the pool capacity and the job count; with
-    /// one worker the batch runs inline on the calling thread.
+    /// one worker the batch runs inline on the calling thread. A job that
+    /// panics (say, in a host closure) fails alone with
+    /// [`PipelineErrorKind::Panicked`]; the rest of the batch still runs.
     ///
     /// Instances are **not** reset between jobs of one batch (resetting
     /// happens at checkin), so this API is for *invocation-independent*
@@ -2061,10 +2096,7 @@ impl InstancePool {
         let workers = workers.max(1).min(self.capacity).min(jobs.len());
         if workers <= 1 {
             let mut inst = self.checkout();
-            return jobs
-                .iter()
-                .map(|j| inst.invoke(&j.module, &j.func, j.args.clone()))
-                .collect();
+            return jobs.iter().map(|j| inst.invoke_contained(j)).collect();
         }
         let next = AtomicUsize::new(0);
         let mut results: Vec<Option<Result<Invocation, PipelineError>>> =
@@ -2079,7 +2111,7 @@ impl InstancePool {
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(job) = jobs.get(i) else { break };
-                            out.push((i, inst.invoke(&job.module, &job.func, job.args.clone())));
+                            out.push((i, inst.invoke_contained(job)));
                         }
                         out
                     })

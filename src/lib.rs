@@ -23,10 +23,14 @@
 //!   ([`ModuleSet::host_fn`](engine::ModuleSet::host_fn)) installed into
 //!   both backends so differential checking spans host calls.
 //! * [`server`] — open-loop serving on top of the engine: an
-//!   [`EngineServer`] accepts jobs through bounded per-tenant queues
+//!   [`EngineServer`] accepts jobs through bounded per-tenant FIFO queues
 //!   (non-blocking submission, backpressure instead of unbounded
 //!   queueing), runs them on a worker pool under a per-job fuel budget,
-//!   and reports throughput/shed/tail-latency via [`ServerStats`].
+//!   and reports throughput/shed/tail-latency via [`ServerStats`]. The
+//!   queues and their counters share one `Mutex` and `Condvar`.
+//!
+//! No crate in the workspace contains `unsafe` code: the workspace lints
+//! set `unsafe_code = "forbid"` for every member.
 
 pub mod call;
 pub mod engine;

@@ -11,11 +11,12 @@
 //! (DESIGN.md §10):
 //!
 //! * **Bounded queues, non-blocking submission.** Each tenant owns a
-//!   bounded lock-free ring ([`richwasm_queue::RingQueue`]);
-//!   [`EngineServer::submit`] never blocks — it returns a [`JobTicket`]
-//!   on admission or [`SubmitError::Backpressure`] when the tenant's
-//!   queue is full. Admission is **deny-by-default**: unknown tenants
-//!   get [`SubmitError::UnknownTenant`].
+//!   bounded FIFO queue. All queues, in-flight counts and the drain flag
+//!   sit under one lock, held for the handoff only, never while a job
+//!   runs. [`EngineServer::submit`] never waits for a worker: it returns
+//!   a [`JobTicket`] on admission or [`SubmitError::Backpressure`] when
+//!   the tenant's queue is full. Admission is **deny-by-default**:
+//!   unknown tenants get [`SubmitError::UnknownTenant`].
 //! * **Per-tenant admission control.** [`TenantConfig`] bounds both the
 //!   queue depth (jobs waiting) and max-in-flight (jobs executing), so
 //!   one hot tenant saturates its own allowance, not the pool.
@@ -63,18 +64,18 @@
 //! println!("{}", server.stats());
 //! ```
 
-use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use richwasm_queue::RingQueue;
-
-use crate::engine::{Artifact, InstancePool, Invocation, Job, PipelineError, PoolStats};
+use crate::engine::{
+    panic_message, Artifact, InstancePool, Invocation, Job, PipelineError, PipelineErrorKind,
+    PoolStats,
+};
 
 /// Per-tenant admission limits. Defaults: queue depth 64, max-in-flight
 /// unbounded (the pool size is the real execution bound).
@@ -227,10 +228,10 @@ pub enum JobError {
 
 impl JobError {
     fn from_pipeline(e: &PipelineError) -> JobError {
-        if e.is_fuel_exhausted() {
-            JobError::FuelExhausted
-        } else {
-            JobError::Failed(e.to_string())
+        match &e.kind {
+            PipelineErrorKind::Panicked(msg) => JobError::Panicked(msg.clone()),
+            _ if e.is_fuel_exhausted() => JobError::FuelExhausted,
+            _ => JobError::Failed(e.to_string()),
         }
     }
 }
@@ -251,17 +252,6 @@ impl fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
-
-/// The message of a caught panic: its `&str` or `String` payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// Where one job's time went: enqueue→start (queueing) and
 /// start→finish (service).
@@ -384,18 +374,46 @@ struct QueuedJob {
     enqueued: Instant,
 }
 
-struct Tenant {
-    name: String,
+/// One tenant's share of the server [`State`].
+struct Lane {
     config: TenantConfig,
-    queue: RingQueue<QueuedJob>,
-    /// Jobs admitted but not yet picked up. The ring capacity is the
-    /// queue depth rounded up to a power of two, so this counter — not
-    /// ring fullness — enforces the *configured* depth exactly.
-    queued: AtomicUsize,
+    /// Jobs admitted but not yet picked up, oldest first.
+    queue: VecDeque<QueuedJob>,
     /// Jobs of this tenant currently executing.
-    in_flight: AtomicUsize,
+    in_flight: usize,
     /// Submissions shed with [`SubmitError::Backpressure`].
-    shed: AtomicU64,
+    shed: u64,
+}
+
+/// Everything submitters and workers hand to each other, under one
+/// lock: every admission, claim and release is a single critical
+/// section, so the counters are exact and no wakeup can be missed.
+struct State {
+    /// One lane per tenant, in registration order.
+    lanes: Vec<Lane>,
+    /// Set once by `drain`; `submit` rejects from then on.
+    draining: bool,
+    /// Workers waiting on [`ServerInner::work`].
+    idle: usize,
+}
+
+impl State {
+    /// Pops the oldest job of the first tenant, scanning from `from`,
+    /// that has one queued and is below its max-in-flight, and claims an
+    /// in-flight slot for it. Workers pass their own index, so they start
+    /// at different tenants.
+    fn claim(&mut self, from: usize) -> Option<(usize, QueuedJob)> {
+        let n = self.lanes.len();
+        (0..n).map(|i| (from + i) % n).find_map(|i| {
+            let lane = &mut self.lanes[i];
+            if lane.in_flight >= lane.config.max_in_flight {
+                return None;
+            }
+            let queued_job = lane.queue.pop_front()?;
+            lane.in_flight += 1;
+            Some((i, queued_job))
+        })
+    }
 }
 
 /// A fixed-size log₂-bucketed latency histogram: bucket *i* for
@@ -493,51 +511,20 @@ impl fmt::Display for ServerStats {
 struct ServerInner {
     pool: InstancePool,
     job_fuel: Option<u64>,
-    tenants: Vec<Tenant>,
+    /// Tenant names; index `i` names `State::lanes[i]`.
+    names: Vec<String>,
     by_name: HashMap<String, usize>,
-    /// The shutdown gate. `submit` admits under the read lock; `drain`
-    /// flips the flag under the write lock, so once the flag is visibly
-    /// set **no** admission is still in progress — every accepted job is
-    /// either in a queue (the drain sweep runs it) or already running.
-    draining: RwLock<bool>,
-    /// Worker wake-up: workers park here when every queue is empty.
-    idle: Mutex<()>,
-    wake: Condvar,
-    /// Workers currently parked (or about to park). `submit` skips the
-    /// notify syscall entirely while this is zero — the common hot-path
-    /// case.
-    sleepers: AtomicUsize,
+    state: Mutex<State>,
+    /// Signalled when a job becomes runnable or draining begins.
+    work: Condvar,
     completed: AtomicU64,
     latency: LatencyHistogram,
     started: Instant,
 }
 
 impl ServerInner {
-    /// Claims and runs one job from some tenant queue, scanning from
-    /// `from` so concurrent workers start at different tenants. Returns
-    /// false when no tenant had a runnable job.
-    fn run_one(&self, from: usize) -> bool {
-        let n = self.tenants.len();
-        for i in 0..n {
-            let tenant = &self.tenants[(from + i) % n];
-            // Optimistically claim an in-flight slot before popping:
-            // between a pop and an in-flight increment the job would be
-            // invisible to both counters and a concurrent `drain` could
-            // believe the tenant idle.
-            if tenant.in_flight.fetch_add(1, Ordering::SeqCst) >= tenant.config.max_in_flight {
-                tenant.in_flight.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let Some(queued_job) = tenant.queue.pop() else {
-                tenant.in_flight.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            };
-            tenant.queued.fetch_sub(1, Ordering::SeqCst);
-            self.run_job(&queued_job);
-            tenant.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
-        false
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("server state poisoned")
     }
 
     /// Resolves a job's ticket and records its latency telemetry.
@@ -614,27 +601,30 @@ impl ServerInner {
     }
 
     fn worker_loop(&self, worker: usize) {
+        let mut state = self.lock();
         loop {
-            if self.run_one(worker) {
+            if let Some((lane, queued_job)) = state.claim(worker) {
+                drop(state);
+                self.run_job(&queued_job);
+                state = self.lock();
+                state.lanes[lane].in_flight -= 1;
+                // The freed slot may unblock this tenant's next job. This
+                // worker scans again next, but may claim another tenant's
+                // job first, so hand the wakeup on.
+                if !state.lanes[lane].queue.is_empty() && state.idle > 0 {
+                    self.work.notify_one();
+                }
                 continue;
             }
-            if *self.draining.read().expect("drain gate poisoned") {
-                // Draining and a full scan found nothing runnable: any
-                // job still queued (another tenant at max-in-flight) is
-                // finished by the drain sweep.
+            if state.draining {
+                // Nothing runnable and no more admissions: whatever is
+                // still queued waits on a busy tenant's in-flight slot,
+                // which the worker holding it rescans after releasing.
                 return;
             }
-            // Park until a submit notifies (or a short timeout backstops
-            // the race where a job arrives between the scan above and
-            // the wait below).
-            let guard = self.idle.lock().expect("idle lock poisoned");
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let (guard, _) = self
-                .wake
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("idle lock poisoned");
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
+            state.idle += 1;
+            state = self.work.wait(state).expect("server state poisoned");
+            state.idle -= 1;
         }
     }
 }
@@ -658,28 +648,31 @@ impl EngineServer {
     pub fn start(artifact: &Artifact, config: ServerConfig) -> Result<EngineServer, PipelineError> {
         let workers = config.workers.max(1);
         let pool = artifact.pool(workers)?;
-        let mut tenants = Vec::with_capacity(config.tenants.len());
-        let mut by_name = HashMap::with_capacity(config.tenants.len());
-        for (name, tenant_config) in config.tenants {
-            by_name.insert(name.clone(), tenants.len());
-            tenants.push(Tenant {
-                name,
-                config: tenant_config,
-                queue: RingQueue::with_capacity(tenant_config.queue_depth),
-                queued: AtomicUsize::new(0),
-                in_flight: AtomicUsize::new(0),
-                shed: AtomicU64::new(0),
-            });
-        }
+        let (names, lanes): (Vec<String>, Vec<Lane>) = config
+            .tenants
+            .into_iter()
+            .map(|(name, config)| {
+                let lane = Lane {
+                    config,
+                    queue: VecDeque::new(),
+                    in_flight: 0,
+                    shed: 0,
+                };
+                (name, lane)
+            })
+            .unzip();
+        let by_name = names.iter().cloned().zip(0..).collect();
         let inner = Arc::new(ServerInner {
             pool,
             job_fuel: config.job_fuel,
-            tenants,
+            names,
             by_name,
-            draining: RwLock::new(false),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
+            state: Mutex::new(State {
+                lanes,
+                draining: false,
+                idle: 0,
+            }),
+            work: Condvar::new(),
             completed: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             started: Instant::now(),
@@ -711,42 +704,31 @@ impl EngineServer {
     /// is at its configured depth (the shed is counted), and
     /// [`SubmitError::Draining`] once shutdown has begun.
     pub fn submit(&self, tenant: &str, job: Job) -> Result<JobTicket, SubmitError> {
-        // Admission happens under the read side of the drain gate: once
-        // `drain` holds the write lock, no submit is mid-admission.
-        let draining = self.inner.draining.read().expect("drain gate poisoned");
-        if *draining {
+        let mut state = self.inner.lock();
+        if state.draining {
             return Err(SubmitError::Draining);
         }
-        let tenant = match self.inner.by_name.get(tenant) {
-            Some(&i) => &self.inner.tenants[i],
-            None => return Err(SubmitError::UnknownTenant),
+        let Some(&i) = self.inner.by_name.get(tenant) else {
+            return Err(SubmitError::UnknownTenant);
         };
-        if tenant.queued.fetch_add(1, Ordering::SeqCst) >= tenant.config.queue_depth {
-            tenant.queued.fetch_sub(1, Ordering::SeqCst);
-            tenant.shed.fetch_add(1, Ordering::Relaxed);
+        let lane = &mut state.lanes[i];
+        if lane.queue.len() >= lane.config.queue_depth {
+            lane.shed += 1;
             return Err(SubmitError::Backpressure);
         }
         let ticket = JobTicket::new();
-        let queued_job = QueuedJob {
+        lane.queue.push_back(QueuedJob {
             job,
             ticket: ticket.clone(),
             enqueued: Instant::now(),
-        };
-        if tenant.queue.push(queued_job).is_err() {
-            // Unreachable: the ring is at least `queue_depth` big and the
-            // admission counter bounds occupancy. Kept as a shed, not a
-            // panic, so a bookkeeping bug degrades to backpressure.
-            tenant.queued.fetch_sub(1, Ordering::SeqCst);
-            tenant.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Backpressure);
-        }
-        drop(draining);
-        if self.inner.sleepers.load(Ordering::SeqCst) > 0 {
-            // Lock-then-notify pairs with the worker's lock-then-register
-            // parking protocol; without the lock the wake could slip
-            // between a worker's last scan and its wait.
-            let _guard = self.inner.idle.lock().expect("idle lock poisoned");
-            self.inner.wake.notify_one();
+        });
+        // A worker counted in `idle` is already waiting, so a notify
+        // after unlocking still reaches it; with none idle, every worker
+        // scans again before it waits.
+        let wake = state.idle > 0;
+        drop(state);
+        if wake {
+            self.inner.work.notify_one();
         }
         Ok(ticket)
     }
@@ -756,56 +738,48 @@ impl EngineServer {
     /// worker threads. Idempotent; called by `Drop` if not called
     /// explicitly.
     pub fn drain(&self) {
-        {
-            let mut draining = self.inner.draining.write().expect("drain gate poisoned");
-            *draining = true;
-        }
-        // Wake every parked worker so it observes the flag and exits.
+        self.inner.lock().draining = true;
+        // Wake every waiting worker so it runs what is left and exits.
+        self.inner.work.notify_all();
         let handles: Vec<_> = {
             let mut workers = self.workers.lock().expect("worker registry poisoned");
             workers.drain(..).collect()
         };
-        for handle in &handles {
-            let _ = handle;
-            let _guard = self.inner.idle.lock().expect("idle lock poisoned");
-            self.inner.wake.notify_all();
-        }
         for handle in handles {
             handle.join().expect("server worker panicked");
         }
-        // Sweep stragglers: a worker may have exited while a tenant sat
-        // at max-in-flight with jobs still queued. The pool is fully
-        // idle now, so run them inline.
-        for tenant in &self.inner.tenants {
-            while let Some(queued_job) = tenant.queue.pop() {
-                tenant.queued.fetch_sub(1, Ordering::SeqCst);
-                self.inner.run_job(&queued_job);
-            }
+        // Sweep stragglers inline, each tenant's in order. After the join
+        // this finds nothing (the last worker out saw every tenant idle);
+        // it matters for a concurrent `drain` that found the workers
+        // already taken.
+        let stragglers: Vec<_> = {
+            let mut state = self.inner.lock();
+            state
+                .lanes
+                .iter_mut()
+                .flat_map(|lane| lane.queue.drain(..))
+                .collect()
+        };
+        for queued_job in &stragglers {
+            self.inner.run_job(queued_job);
         }
     }
 
     /// A point-in-time telemetry snapshot.
     pub fn stats(&self) -> ServerStats {
         let inner = &self.inner;
+        let state = inner.lock();
+        let shed = state.lanes.iter().map(|lane| lane.shed).sum();
+        let queued = state.lanes.iter().map(|lane| lane.queue.len()).sum();
+        let in_flight = state.lanes.iter().map(|lane| lane.in_flight).sum();
+        drop(state);
         let completed = inner.completed.load(Ordering::Relaxed);
         let elapsed = inner.started.elapsed().as_secs_f64();
         ServerStats {
             completed,
-            shed: inner
-                .tenants
-                .iter()
-                .map(|t| t.shed.load(Ordering::Relaxed))
-                .sum(),
-            queued: inner
-                .tenants
-                .iter()
-                .map(|t| t.queued.load(Ordering::SeqCst))
-                .sum(),
-            in_flight: inner
-                .tenants
-                .iter()
-                .map(|t| t.in_flight.load(Ordering::SeqCst))
-                .sum(),
+            shed,
+            queued,
+            in_flight,
             throughput: if elapsed > 0.0 {
                 completed as f64 / elapsed
             } else {
@@ -820,12 +794,12 @@ impl EngineServer {
     /// Shed count for one tenant (`None` for unknown tenants).
     pub fn tenant_shed(&self, tenant: &str) -> Option<u64> {
         let &i = self.inner.by_name.get(tenant)?;
-        Some(self.inner.tenants[i].shed.load(Ordering::Relaxed))
+        Some(self.inner.lock().lanes[i].shed)
     }
 
     /// The registered tenant names, in registration order.
     pub fn tenants(&self) -> Vec<&str> {
-        self.inner.tenants.iter().map(|t| t.name.as_str()).collect()
+        self.inner.names.iter().map(String::as_str).collect()
     }
 
     /// The underlying pool's counters (checkout/recycle/contention).
@@ -844,7 +818,7 @@ impl fmt::Debug for EngineServer {
         write!(
             f,
             "EngineServer {{ tenants: {}, stats: {} }}",
-            self.inner.tenants.len(),
+            self.inner.names.len(),
             self.stats()
         )
     }

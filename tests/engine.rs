@@ -330,6 +330,77 @@ fn parallel_batch_keeps_host_record_replay_per_instance() {
     );
 }
 
+/// A guest whose `f(x)` returns `host.double(x)`.
+fn doubler_module() -> syntax::Module {
+    let i32t = Type::num(NumType::I32);
+    syntax::Module {
+        funcs: vec![
+            syntax::Func::Imported {
+                exports: vec![],
+                module: "host".into(),
+                name: "double".into(),
+                ty: FunType::mono(vec![i32t.clone()], vec![i32t.clone()]),
+            },
+            syntax::Func::Defined {
+                exports: vec!["f".into()],
+                ty: FunType::mono(vec![i32t.clone()], vec![i32t]),
+                locals: vec![],
+                body: vec![Instr::GetLocal(0, Qual::Unr), Instr::Call(0, vec![])],
+            },
+        ],
+        ..syntax::Module::default()
+    }
+}
+
+// A host panic fails its own job, not the batch: on both the inline
+// 1-worker path and the threaded one, the other jobs' results come back,
+// the panic's message is kept, and no pool instance is lost.
+#[test]
+fn invoke_batch_contains_a_panicking_job() {
+    let set = ModuleSet::new().richwasm("m", doubler_module()).host_fn(
+        "host",
+        "double",
+        HostSig::new([HostValType::I32], [HostValType::I32]),
+        |args| match args[0] {
+            HostVal::I32(7) => panic!("host refuses 7"),
+            HostVal::I32(x) => Ok(vec![HostVal::I32(2 * x)]),
+            _ => Err("expected i32".into()),
+        },
+    );
+    let artifact = Engine::new().compile(&set).unwrap();
+    let jobs: Vec<Job> = (0..12)
+        .map(|x| Job::new("m", "f", vec![Value::i32(x)]))
+        .collect();
+    let pool = artifact.pool(3).unwrap();
+    let outcome = |workers| -> Vec<Result<i32, String>> {
+        pool.invoke_batch(workers, &jobs)
+            .into_iter()
+            .map(|r| match r {
+                Ok(inv) => Ok(inv.i32().expect("an i32 result")),
+                Err(e) => match (e.stage, e.kind) {
+                    (Stage::Execute, PipelineErrorKind::Panicked(msg)) => Err(msg),
+                    (stage, kind) => panic!("unexpected error at {stage}: {kind}"),
+                },
+            })
+            .collect()
+    };
+    let threaded = outcome(3);
+    let inline = outcome(1);
+    let expected: Vec<Result<i32, String>> = (0..12)
+        .map(|x| {
+            if x == 7 {
+                Err("host refuses 7".to_string())
+            } else {
+                Ok(2 * x)
+            }
+        })
+        .collect();
+    assert_eq!(threaded, expected);
+    assert_eq!(inline, expected);
+    assert_eq!(pool.stats().lost, 0);
+    assert_eq!(pool.idle(), 3, "every instance came back to the pool");
+}
+
 // Regression (PR 4): recycling must rewind stateful host closures too.
 // A counter host registered with a reset hook starts from scratch after
 // `Instance::reset` — and therefore after every pool checkin.
@@ -428,6 +499,7 @@ fn error_sources_chain_every_kind() {
             false,
         ),
         (PipelineErrorKind::Unsupported("u".into()), false),
+        (PipelineErrorKind::Panicked("p".into()), false),
     ];
     for (kind, has_source) in chained {
         let label = format!("{kind:?}");

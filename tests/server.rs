@@ -9,12 +9,15 @@
 //!   worker, the instance and the counters survive it;
 //! * `drain` under concurrent submitters resolves **every** accepted
 //!   ticket (zero dropped) and rejects everything after;
-//! * the telemetry counters account for exactly what happened.
+//! * the telemetry counters account for exactly what happened;
+//! * under seeded random bursts from several submitters and a drain at a
+//!   random moment, all of the above hold at once, and one worker starts
+//!   each tenant's jobs in submission order.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use richwasm::syntax::{self, NumType};
 use richwasm_bench::workloads::churn;
@@ -212,9 +215,9 @@ fn fuel_preemption_fails_the_job_not_the_server() {
     server.drain();
 }
 
-#[test]
-fn panicking_host_fails_the_job_not_the_server() {
-    // `f(x)` returns `host.double(x)`; the host panics on 0.
+/// A guest whose `f(x)` returns `host.double(x)`, with `double` run by
+/// `host`.
+fn doubler_set(host: impl Fn(i32) -> i32 + Send + Sync + 'static) -> ModuleSet {
     let i32t = syntax::Type::num(NumType::I32);
     let m = syntax::Module {
         funcs: vec![
@@ -236,16 +239,23 @@ fn panicking_host_fails_the_job_not_the_server() {
         ],
         ..syntax::Module::default()
     };
-    let set = ModuleSet::new().richwasm("m", m).host_fn(
+    ModuleSet::new().richwasm("m", m).host_fn(
         "host",
         "double",
         HostSig::new([HostValType::I32], [HostValType::I32]),
-        |args| match args[0] {
-            HostVal::I32(0) => panic!("host refuses 0"),
-            HostVal::I32(x) => Ok(vec![HostVal::I32(2 * x)]),
+        move |args| match args[0] {
+            HostVal::I32(x) => Ok(vec![HostVal::I32(host(x))]),
             _ => Err("expected i32".into()),
         },
-    );
+    )
+}
+
+#[test]
+fn panicking_host_fails_the_job_not_the_server() {
+    let set = doubler_set(|x| match x {
+        0 => panic!("host refuses 0"),
+        x => 2 * x,
+    });
     let artifact = Engine::new().compile(&set).unwrap();
     let server = EngineServer::start(
         &artifact,
@@ -404,4 +414,186 @@ fn infeasible_budget_is_rejected_before_an_instance_checkout() {
     assert_eq!(outcome.result.expect("feasible job").i32(), Some(10));
     assert_eq!(server.pool_stats().checkouts, 1);
     server.drain();
+}
+
+/// splitmix64: a tiny seeded generator, so a failing stress round can be
+/// replayed from its printed seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Prints the round's seed when an assertion fails inside it; the seed
+/// also picks the worker count, so replaying it repeats the round.
+struct SeedReport(u64);
+
+impl Drop for SeedReport {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            eprintln!(
+                "server stress failed; replay with RW_SERVER_STRESS_SEED={}",
+                self.0
+            );
+        }
+    }
+}
+
+const STRESS_TENANTS: [&str; 3] = ["open", "serial", "shallow"];
+const SUBMITTERS: u64 = 4;
+
+/// A job's argument names its tenant, its submitter and the submitter's
+/// sequence number for that tenant.
+fn stress_arg(tenant: usize, submitter: u64, seq: u32) -> i32 {
+    ((tenant as i32 * SUBMITTERS as i32 + submitter as i32) << 20) | seq as i32
+}
+
+/// Every 50th job of a submitter to a tenant panics in the host.
+fn injects_panic(x: i32) -> bool {
+    (x & 0xf_ffff) % 50 == 49
+}
+
+/// One stress round: `SUBMITTERS` threads submit seeded random bursts to
+/// three tenants (one at max-in-flight 1, one at queue depth 2) until a
+/// drain at a seeded moment. The host logs every `x` it sees, in the
+/// order jobs start, and panics on the `x` that `injects_panic` picks.
+fn stress_round(seed: u64) {
+    let _report = SeedReport(seed);
+    let workers = 1 + (seed % 3) as usize;
+    let started = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&started);
+    let set = doubler_set(move |x| {
+        log.lock().unwrap().push(x);
+        if injects_panic(x) {
+            panic!("injected panic");
+        }
+        2 * x
+    });
+    let artifact = Engine::new().compile(&set).unwrap();
+    let server = EngineServer::start(
+        &artifact,
+        ServerConfig::new()
+            .workers(workers)
+            .tenant(STRESS_TENANTS[0], TenantConfig::new().queue_depth(16))
+            .tenant(STRESS_TENANTS[1], TenantConfig::new().max_in_flight(1))
+            .tenant(STRESS_TENANTS[2], TenantConfig::new().queue_depth(2)),
+    )
+    .unwrap();
+
+    let mut rng = Rng(seed);
+    let drain_after = Duration::from_micros(5_000 + rng.below(45_000));
+    let (accepted, shed_seen) = thread::scope(|scope| {
+        let server = &server;
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|submitter| {
+                let mut rng = Rng(seed ^ (submitter + 1).wrapping_mul(0xa076_1d64_78bd_642f));
+                scope.spawn(move || {
+                    let mut accepted = Vec::new();
+                    let mut shed = 0u64;
+                    let mut seq = [0u32; STRESS_TENANTS.len()];
+                    loop {
+                        let tenant = rng.below(STRESS_TENANTS.len() as u64) as usize;
+                        for _ in 0..=rng.below(8) {
+                            let x = stress_arg(tenant, submitter, seq[tenant]);
+                            let job = Job::new("m", "f", vec![syntax::Value::i32(x)]);
+                            match server.submit(STRESS_TENANTS[tenant], job) {
+                                Ok(ticket) => {
+                                    accepted.push((x, ticket));
+                                    seq[tenant] += 1;
+                                }
+                                Err(SubmitError::Backpressure) => shed += 1,
+                                Err(SubmitError::Draining) => return (accepted, shed),
+                                Err(e) => panic!("unexpected submit error: {e}"),
+                            }
+                        }
+                        match rng.below(3) {
+                            0 => thread::yield_now(),
+                            1 => thread::sleep(Duration::from_micros(rng.below(200))),
+                            _ => {}
+                        }
+                    }
+                })
+            })
+            .collect();
+        thread::sleep(drain_after);
+        server.drain();
+        submitters
+            .into_iter()
+            .map(|h| h.join().expect("submitter panicked"))
+            .fold((Vec::new(), 0), |(mut all, shed), (mine, s)| {
+                all.extend(mine);
+                (all, shed + s)
+            })
+    });
+
+    // Every accepted ticket resolved, with the oracle's value.
+    for (x, ticket) in &accepted {
+        let outcome = ticket.poll().expect("drain resolves every accepted ticket");
+        match outcome.result {
+            Ok(inv) if !injects_panic(*x) => assert_eq!(inv.i32(), Some(2 * x)),
+            Err(JobError::Panicked(msg)) if injects_panic(*x) => {
+                assert_eq!(msg, "injected panic");
+            }
+            other => panic!("job {x:#x} resolved with {other:?}"),
+        }
+    }
+    // Each accepted job ran exactly once, and nothing else ran.
+    let started = started.lock().unwrap().clone();
+    let mut ran = started.clone();
+    ran.sort_unstable();
+    let mut expected: Vec<i32> = accepted.iter().map(|(x, _)| *x).collect();
+    expected.sort_unstable();
+    assert_eq!(ran, expected, "a job was lost, duplicated or invented");
+
+    let stats = server.stats();
+    assert_eq!(stats.completed as usize, accepted.len());
+    let tenant_shed: u64 = STRESS_TENANTS
+        .iter()
+        .map(|t| server.tenant_shed(t).unwrap())
+        .sum();
+    assert_eq!(tenant_shed, shed_seen, "every Backpressure is counted once");
+    assert_eq!(stats.shed, shed_seen);
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
+    assert_eq!(server.pool_stats().lost, 0);
+
+    // One worker starts each tenant's jobs in the order they were
+    // admitted; one submitter's jobs to a tenant were admitted in its
+    // sequence order.
+    if workers == 1 {
+        let mut next = [[0u32; SUBMITTERS as usize]; STRESS_TENANTS.len()];
+        for x in started {
+            let (owner, seq) = ((x >> 20) as usize, (x & 0xf_ffff) as u32);
+            let slot = &mut next[owner / SUBMITTERS as usize][owner % SUBMITTERS as usize];
+            let tenant = STRESS_TENANTS[owner / SUBMITTERS as usize];
+            assert_eq!(seq, *slot, "tenant {tenant} started out of order");
+            *slot += 1;
+        }
+    }
+}
+
+#[test]
+fn seeded_stress_keeps_every_serving_invariant() {
+    let seed = std::env::var("RW_SERVER_STRESS_SEED")
+        .ok()
+        .map(|s| s.parse().expect("RW_SERVER_STRESS_SEED is a u64"))
+        .unwrap_or_else(|| {
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .expect("clock after the epoch")
+                .as_nanos() as u64
+        });
+    // Six consecutive seeds cover each worker count twice.
+    for round in 0..6 {
+        stress_round(seed.wrapping_add(round));
+    }
 }
