@@ -8,9 +8,10 @@
 //!   call, so the body execution dominates);
 //! * `string_invoke_wasm_only` / `typed_call_wasm_only` — the same on a
 //!   Wasm-only instance, where dispatch overhead *is* the cost: the
-//!   string path pays two name lookups, per-argument flattening, and
-//!   untyped result plumbing on every call, the typed handle resolved and
-//!   checked everything once at creation;
+//!   string path pays the export resolution, the argument check against
+//!   the checked type, argument lowering and untyped result plumbing on
+//!   every call, the typed handle resolved and checked everything once
+//!   at creation;
 //! * `get_typed_func` — the one-time handle creation (resolution +
 //!   signature validation against the checked types);
 //! * `host_call_roundtrip` — a guest→host→guest round trip under
@@ -30,7 +31,7 @@ use richwasm_repro::{HostSig, HostVal, HostValType};
 /// `add : [i32, i32] -> [i32]` and `add4 : [i32; 4] -> [i32]` — small on
 /// purpose: the boundary, not the body, is what E8 measures. `add4` is
 /// the head-to-head workload: every extra parameter costs the untyped
-/// path a per-argument flattening allocation the typed path never pays.
+/// path a per-argument type check and lowering the typed path never pays.
 fn arith_module() -> Module {
     let i32t = || Type::num(NumType::I32);
     let addi = || Instr::Num(NumInstr::IntBinop(NumType::I32, instr::IntBinop::Add));
@@ -216,9 +217,9 @@ fn bench(c: &mut Criterion) {
     // ≥ 1.5×, measured head-to-head on the Wasm-only instance with the
     // 4-argument workload (min-of-several batches — the best case is
     // the least noisy estimate of pure dispatch cost; the paths differ
-    // only in dispatch — two name lookups, per-argument flattening
-    // allocations, and untyped result plumbing vs a once-validated
-    // handle with stack-buffer conversion).
+    // only in dispatch — export resolution, the argument check and
+    // lowering, and untyped result plumbing vs a once-validated handle
+    // with stack-buffer conversion; both then run the same core).
     let wadd4 = wasm_inst
         .get_typed_func::<(i32, i32, i32, i32), i32>("m", "add4")
         .unwrap();

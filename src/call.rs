@@ -14,8 +14,9 @@
 //!   export, obtained with [`Instance::get_typed_func`]. The signature is
 //!   validated **once**, against the artifact's *checked* RichWasm types;
 //!   [`TypedFunc::call`] then performs no name lookup and no signature
-//!   re-check — just value conversion, execution on every live backend,
-//!   and (in differential mode) cross-backend agreement.
+//!   re-check — just value conversion around the invocation core that
+//!   [`Instance::invoke`] uses too (execution on every live backend and,
+//!   in differential mode, cross-backend agreement).
 //! * [`HostSig`] plus the host-function machinery behind
 //!   [`ModuleSet::host_fn`](crate::engine::ModuleSet::host_fn): one Rust
 //!   closure over [`HostVal`]s, installed into *both* backends at
@@ -28,11 +29,12 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
+use richwasm::interp::InvokeResult;
 use richwasm::syntax::{FunType, NumType, Pretype, Type, Value};
 use richwasm_wasm::ast::{FuncType, ValType};
 use richwasm_wasm::exec::{Val, WasmTrap};
 
-use crate::engine::{Instance, PipelineError, PipelineErrorKind, Stage};
+use crate::engine::{Instance, PipelineError, PipelineErrorKind, Signature, Stage, Target};
 
 /// A value crossing the host↔guest boundary.
 ///
@@ -204,40 +206,33 @@ impl fmt::Display for HostVal {
     }
 }
 
-/// Flattens RichWasm result values to boundary values the way the
-/// compiler flattens result types: `unit` erases, 32/64-bit integers map
-/// directly. `None` when any value has no integer-scalar representation
-/// (floats, references, tuples, …).
-pub(crate) fn flatten_values_to_host(values: &[Value]) -> Option<Vec<HostVal>> {
-    let mut out = Vec::with_capacity(values.len());
-    for v in values {
-        match v {
-            Value::Unit => {}
-            _ => out.push(HostVal::of_value(v)?),
-        }
+/// The agreed boundary view of an invocation's results: the RichWasm
+/// values flattened the way the compiler flattens result types (`unit`
+/// erases; signedness comes from the declared types), or, when only the
+/// Wasm backend ran, its values read as signed (standard Wasm erases
+/// signedness). `None` when a value has no integer-scalar representation
+/// (floats, references, tuples, …) or neither backend ran.
+pub(crate) fn agreed_view<B: FromIterator<HostVal>>(
+    richwasm: Option<&InvokeResult>,
+    wasm: Option<&[Val]>,
+) -> Option<B> {
+    match (richwasm, wasm) {
+        (Some(r), _) => r
+            .values
+            .iter()
+            .filter(|v| !matches!(v, Value::Unit))
+            .map(HostVal::of_value)
+            .collect(),
+        (None, Some(vals)) => vals
+            .iter()
+            .map(|v| match v {
+                Val::I32(bits) => Some(HostVal::I32(*bits as i32)),
+                Val::I64(bits) => Some(HostVal::I64(*bits as i64)),
+                Val::F32(_) | Val::F64(_) => None,
+            })
+            .collect(),
+        (None, None) => None,
     }
-    Some(out)
-}
-
-/// Converts Wasm results to boundary values with no type information:
-/// integers read as signed. `None` when a float is present.
-pub(crate) fn wasm_vals_to_host_raw(vals: &[Val]) -> Option<Vec<HostVal>> {
-    vals.iter()
-        .map(|v| match v {
-            Val::I32(bits) => Some(HostVal::I32(*bits as i32)),
-            Val::I64(bits) => Some(HostVal::I64(*bits as i64)),
-            Val::F32(_) | Val::F64(_) => None,
-        })
-        .collect()
-}
-
-/// Bit-level agreement: same length, and pairwise same width + same bit
-/// pattern (signedness is a view, not data — see [`HostVal`]).
-pub(crate) fn host_vals_agree(a: &[HostVal], b: &[HostVal]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.ty().compatible(y.ty()) && x.bits() == y.bits())
 }
 
 /// A fixed-capacity, stack-allocated buffer of boundary values. The
@@ -278,36 +273,13 @@ impl HostValBuf {
     }
 }
 
-/// [`flatten_values_to_host`] into a stack buffer; additionally `None`
-/// when more than 4 scalars come out (the typed path validated arity ≤ 4
-/// at handle creation).
-fn flatten_values_to_buf(values: &[Value]) -> Option<HostValBuf> {
-    let mut out = HostValBuf::new();
-    for v in values {
-        match v {
-            Value::Unit => {}
-            _ => {
-                if out.len == 4 {
-                    return None;
-                }
-                out.push(HostVal::of_value(v)?);
-            }
-        }
+impl FromIterator<HostVal> for HostValBuf {
+    /// Panics past capacity 4, like [`HostValBuf::push`].
+    fn from_iter<I: IntoIterator<Item = HostVal>>(iter: I) -> Self {
+        let mut out = HostValBuf::new();
+        iter.into_iter().for_each(|v| out.push(v));
+        out
     }
-    Some(out)
-}
-
-/// [`wasm_vals_to_host`] into a stack buffer (`want.len() ≤ 4` by
-/// construction of the typed path).
-fn wasm_vals_to_buf(vals: &[Val], want: &[HostValType]) -> Option<HostValBuf> {
-    if vals.len() != want.len() || want.len() > 4 {
-        return None;
-    }
-    let mut out = HostValBuf::new();
-    for (v, t) in vals.iter().zip(want) {
-        out.push(HostVal::of_wasm_val(*v, *t)?);
-    }
-    Some(out)
 }
 
 mod sealed {
@@ -710,15 +682,10 @@ pub struct TypedFunc<P, R> {
     key: crate::engine::CacheKey,
     module: String,
     func: String,
-    /// Pre-resolved RichWasm target: (defining instance, function index)
-    /// of the closure behind the export.
-    rw: Option<(u32, u32)>,
-    /// Pre-resolved Wasm target: store address of the export.
-    wasm_addr: Option<usize>,
+    /// The export, resolved once on every live backend.
+    target: Target,
     /// Declared parameter shape (unit slots + scalars, in order).
     shape: Vec<ParamSlot>,
-    /// Declared result scalars (unit results erased).
-    result_scalars: Vec<HostValType>,
     _marker: PhantomData<fn(P) -> R>,
 }
 
@@ -734,10 +701,8 @@ impl<P, R> Clone for TypedFunc<P, R> {
             key: self.key,
             module: self.module.clone(),
             func: self.func.clone(),
-            rw: self.rw,
-            wasm_addr: self.wasm_addr,
+            target: self.target,
             shape: self.shape.clone(),
-            result_scalars: self.result_scalars.clone(),
             _marker: PhantomData,
         }
     }
@@ -773,20 +738,16 @@ impl Instance {
         module: &str,
         func: &str,
     ) -> Result<TypedFunc<P, R>, PipelineError> {
-        let artifact = self.artifact();
-        let Some(m) = artifact.find_module(module) else {
+        let (target, sig) = self.resolve(module, func)?;
+        let Signature::RichWasm(ty) = sig else {
             return Err(typed_err(
                 module,
-                format!("no module named `{module}` in this artifact"),
+                format!(
+                    "module `{module}` has no checked RichWasm types for a typed handle to \
+                     validate against (use `invoke`)"
+                ),
             ));
         };
-        let Some(fidx) = m.find_export(func) else {
-            return Err(typed_err(
-                module,
-                format!("module `{module}` has no function export `{func}`"),
-            ));
-        };
-        let ty = m.funcs[fidx as usize].ty();
         if !ty.quants.is_empty() {
             return Err(typed_err(
                 module,
@@ -851,36 +812,12 @@ impl Instance {
             ));
         }
 
-        // Resolve once, on both live backends. Resolution goes *through
-        // the closure* on the RichWasm side, so a re-exported import
-        // calls its defining module directly.
-        let rw = self.richwasm.as_ref().and_then(|rt| {
-            let mi = rt.instance_by_name(module)?;
-            rt.store
-                .insts
-                .get(mi as usize)
-                .and_then(|inst| inst.funcs.get(fidx as usize))
-                .map(|cl| (cl.inst, cl.func))
-        });
-        let wasm_addr = self.wasm.as_ref().and_then(|linker| {
-            let wi = linker.instance_by_name(module)?;
-            linker.export_func_addr(wi, func)
-        });
-        if rw.is_none() && wasm_addr.is_none() {
-            return Err(typed_err(
-                module,
-                "no live backend to resolve the typed handle against (both were extracted?)".into(),
-            ));
-        }
-
         Ok(TypedFunc {
-            key: artifact.key(),
+            key: self.artifact().key(),
             module: module.to_string(),
             func: func.to_string(),
-            rw,
-            wasm_addr,
+            target,
             shape,
-            result_scalars,
             _marker: PhantomData,
         })
     }
@@ -888,9 +825,9 @@ impl Instance {
 
 impl<P: WasmParams, R: WasmResults> TypedFunc<P, R> {
     /// Calls the guest function with `params` on every live backend of
-    /// `inst`, cross-checking in differential mode — semantically
-    /// [`Instance::invoke`], minus the per-call name lookups, signature
-    /// discovery, and untyped value plumbing.
+    /// `inst`, cross-checking in differential mode — [`Instance::invoke`]
+    /// minus its per-call resolution and argument check: both paths run
+    /// and reconcile the backends through the same core.
     ///
     /// # Errors
     ///
@@ -908,146 +845,46 @@ impl<P: WasmParams, R: WasmResults> TypedFunc<P, R> {
                 ),
             ));
         }
-        inst.begin_invocation();
-
         let mut hv = HostValBuf::new();
         params.into_host_vals(&mut hv);
         let hv = hv.as_slice();
-
-        // RichWasm backend first: in differential mode it is the
-        // recording side of any host functions.
-        let rw_res = match (self.rw, &mut inst.richwasm) {
-            (Some((mi, fi)), Some(rt)) => {
-                let mut args = Vec::with_capacity(self.shape.len());
+        // The interpreter takes the declared shape, `unit` slots included;
+        // the Wasm backend takes the scalars alone.
+        let args = match self.target.rw {
+            Some(_) => {
                 let mut scalars = hv.iter();
-                for slot in &self.shape {
-                    match slot {
-                        ParamSlot::Unit => args.push(Value::Unit),
-                        ParamSlot::Scalar(t) => args.push(
-                            scalars
-                                .next()
-                                .expect("arity validated at handle creation")
-                                .to_value_as(*t),
-                        ),
-                    }
-                }
-                Some(rt.invoke_func(mi, fi, args).map_err(|e| {
-                    PipelineError::new(
-                        Stage::Execute,
-                        Some(&self.module),
-                        PipelineErrorKind::Runtime(e),
-                    )
-                }))
+                self.shape
+                    .iter()
+                    .map(|slot| match slot {
+                        ParamSlot::Unit => Value::Unit,
+                        ParamSlot::Scalar(t) => scalars
+                            .next()
+                            .expect("arity validated at handle creation")
+                            .to_value_as(*t),
+                    })
+                    .collect()
             }
-            _ => None,
+            None => Vec::new(),
         };
-        let wasm_res = match (self.wasm_addr, &mut inst.wasm) {
-            (Some(addr), Some(linker)) => {
-                let mut wargs = [Val::I32(0); 4];
-                for (slot, v) in wargs.iter_mut().zip(hv) {
-                    *slot = v.to_wasm_val();
-                }
-                Some(linker.invoke_addr(addr, &wargs[..hv.len()]).map_err(|e| {
-                    PipelineError::new(
-                        Stage::Execute,
-                        Some(&self.module),
-                        PipelineErrorKind::Wasm(e),
-                    )
-                }))
-            }
-            _ => None,
-        };
-
-        let agreed = self.reconcile(rw_res, wasm_res)?;
-        R::from_host_vals(agreed.as_slice()).ok_or_else(|| {
-            typed_err(
-                &self.module,
-                format!(
-                    "result {} of `{}.{}` does not convert to the handle's result type",
-                    fmt_valtypes(
-                        &agreed
-                            .as_slice()
-                            .iter()
-                            .map(HostVal::ty)
-                            .collect::<Vec<_>>()
-                    ),
-                    self.module,
-                    self.func
-                ),
-            )
-        })
-    }
-
-    /// Cross-backend reconciliation, mirroring the string-keyed path:
-    /// when both backends ran, both outcomes must agree bit-for-bit.
-    fn reconcile(
-        &self,
-        rw_res: Option<Result<richwasm::interp::InvokeResult, PipelineError>>,
-        wasm_res: Option<Result<Vec<Val>, PipelineError>>,
-    ) -> Result<HostValBuf, PipelineError> {
-        let module = self.module.as_str();
-        match (rw_res, wasm_res) {
-            (Some(Ok(ir)), Some(Ok(wr))) => {
-                let a = flatten_values_to_buf(&ir.values).ok_or_else(|| {
-                    typed_err(
-                        module,
-                        format!(
-                            "result {:?} has no integer-scalar representation to compare",
-                            ir.values
-                        ),
-                    )
-                })?;
-                let b = wasm_vals_to_buf(&wr, &self.result_scalars).ok_or_else(|| {
-                    typed_err(
-                        module,
-                        format!("wasm result {wr:?} does not match the declared result scalars"),
-                    )
-                })?;
-                if !host_vals_agree(a.as_slice(), b.as_slice()) {
-                    return Err(PipelineError::new(
-                        Stage::Differential,
-                        Some(module),
-                        PipelineErrorKind::Mismatch {
-                            richwasm: format!("{:?}", ir.values),
-                            wasm: format!("{wr:?}"),
-                        },
-                    ));
-                }
-                Ok(a)
-            }
-            // At least one side failed: the shared policy (trap
-            // propagation vs `Mismatch`) lives next to `Instance::invoke`'s
-            // comparison in the engine.
-            (Some(rw), Some(wr)) => Err(crate::engine::reconcile_failures(
-                module,
-                rw.map(|ir| format!("{:?}", ir.values)),
-                wr.map(|vals| format!("{vals:?}")),
-            )),
-            (Some(r), None) => {
-                let ir = r?;
-                flatten_values_to_buf(&ir.values).ok_or_else(|| {
-                    typed_err(
-                        module,
-                        format!(
-                            "result {:?} has no integer-scalar representation",
-                            ir.values
-                        ),
-                    )
-                })
-            }
-            (None, Some(r)) => {
-                let wr = r?;
-                wasm_vals_to_buf(&wr, &self.result_scalars).ok_or_else(|| {
-                    typed_err(
-                        module,
-                        format!("wasm result {wr:?} does not match the declared result scalars"),
-                    )
-                })
-            }
-            (None, None) => Err(typed_err(
-                module,
-                "no live backend to call (both were extracted?)".into(),
-            )),
+        let mut wasm_args = [Val::I32(0); 4];
+        for (slot, v) in wasm_args.iter_mut().zip(hv) {
+            *slot = v.to_wasm_val();
         }
+        let (richwasm, wasm) =
+            inst.invoke_resolved(&self.module, self.target, args, &wasm_args[..hv.len()])?;
+        // Validated at handle creation: at most four result scalars.
+        let agreed: Option<HostValBuf> = agreed_view(richwasm.as_ref(), wasm.as_deref());
+        agreed
+            .and_then(|vals| R::from_host_vals(vals.as_slice()))
+            .ok_or_else(|| {
+                typed_err(
+                    &self.module,
+                    format!(
+                        "the result of `{}.{}` does not convert to the handle's result type \
+                         (RichWasm: {richwasm:?}, Wasm: {wasm:?})",
+                        self.module, self.func
+                    ),
+                )
+            })
     }
 }

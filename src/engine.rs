@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use richwasm::env::ModuleEnv;
 use richwasm::error::{RuntimeError, TypeError};
 use richwasm::interp::{InvokeResult, Runtime};
-use richwasm::syntax::{self, NumType, Value};
+use richwasm::syntax::{self, FunType, NumType, Pretype, Value};
 use richwasm::typecheck::check_module;
 use richwasm_analyze::{
     analyze_module, AnalysisReport, AnalyzeError, Bound, CostReport, Diagnostic, FuncCost, Pass,
@@ -83,8 +83,8 @@ use richwasm_wasm::validate::ValidationError;
 use richwasm_wasm::validate_module;
 
 use crate::call::{
-    flatten_values_to_host, richwasm_host_fn, wasm_host_fn, wasm_vals_to_host_raw, HostCallback,
-    HostSig, HostVal, ReplayLog, WasmResults,
+    agreed_view, richwasm_host_fn, wasm_host_fn, HostCallback, HostSig, HostVal, ReplayLog,
+    WasmResults,
 };
 
 /// A source module in one of the three input languages, or a precompiled
@@ -459,17 +459,10 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Builds the invocation, computing the agreed boundary view: the
-    /// RichWasm values flattened the way the compiler flattens result
-    /// types (`unit` erases; signedness comes from the declared types),
-    /// falling back to the Wasm values (read as signed — standard Wasm
-    /// erases signedness) when only that backend ran.
-    pub(crate) fn new(richwasm: Option<InvokeResult>, wasm: Option<Vec<Val>>) -> Invocation {
-        let agreed = match (&richwasm, &wasm) {
-            (Some(r), _) => flatten_values_to_host(&r.values),
-            (None, Some(vals)) => wasm_vals_to_host_raw(vals),
-            (None, None) => None,
-        };
+    /// Builds the invocation, computing the agreed boundary view (see
+    /// [`agreed_view`]).
+    fn new((richwasm, wasm): Reconciled) -> Invocation {
+        let agreed = agreed_view(richwasm.as_ref(), wasm.as_deref());
         Invocation {
             richwasm,
             wasm,
@@ -1631,6 +1624,32 @@ impl Artifact {
     }
 }
 
+/// Where one export lives on each live backend of an [`Instance`]: what
+/// [`Instance::resolve`] hands to the invocation core. A typed handle
+/// keeps it across calls (instantiation is deterministic, so it stays
+/// valid across [`Instance::reset`] and for every instance of the same
+/// artifact).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Target {
+    /// The RichWasm closure: (defining instance, function index).
+    pub(crate) rw: Option<(u32, u32)>,
+    /// The Wasm store address.
+    pub(crate) wasm: Option<usize>,
+}
+
+/// What the invocation core settled on: each backend's result, absent
+/// for a backend that did not run.
+pub(crate) type Reconciled = (Option<InvokeResult>, Option<Vec<Val>>);
+
+/// The declared type arguments are checked against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Signature<'a> {
+    /// The checked RichWasm type of an export of a RichWasm module.
+    RichWasm(&'a FunType),
+    /// The Wasm type of an export of a module with no RichWasm source.
+    Wasm(&'a w::FuncType),
+}
+
 /// A live, independently mutable execution of an [`Artifact`]: the
 /// RichWasm runtime and/or the Wasm linker, ready for repeated
 /// [`Instance::invoke`] calls. Two instances of one artifact share no
@@ -1661,7 +1680,7 @@ impl Instance {
     /// Marks the start of one invocation: bumps the counter and clears
     /// any leftover host-call recordings (a failed invocation on one
     /// backend must not leak recorded outcomes into the next).
-    pub(crate) fn begin_invocation(&mut self) {
+    fn begin_invocation(&mut self) {
         self.invocations += 1;
         for log in &self.replay {
             log.lock().expect("host replay log poisoned").clear();
@@ -1680,7 +1699,10 @@ impl Instance {
         &self.timings
     }
 
-    /// Number of completed [`Instance::invoke`] calls (successful or not).
+    /// Number of calls, through [`Instance::invoke`] or a
+    /// [`TypedFunc`](crate::TypedFunc), that reached a backend
+    /// (successful or not). A call refused at resolve time, before any
+    /// backend runs, does not count.
     pub fn invocations(&self) -> u64 {
         self.invocations
     }
@@ -1696,27 +1718,195 @@ impl Instance {
     /// Invokes export `func` of `module` with `args` on every active
     /// backend; in differential mode the results must agree.
     ///
-    /// Arguments are RichWasm values; for the Wasm backend they are
-    /// lowered the same way the compiler lowers parameters (`unit`
-    /// erases, numerics pass through).
+    /// Arguments are RichWasm values, checked against the export's
+    /// checked type before any backend runs: the count must match, and
+    /// each numeric argument must have its parameter's width (signedness
+    /// is a view, as for [`TypedFunc`](crate::TypedFunc)). For the Wasm
+    /// backend they are lowered the way the compiler lowers parameters
+    /// (`unit` erases, numerics pass through). A module with no RichWasm
+    /// source ([`Engine::load_wasm`], a deserialized artifact) is checked
+    /// against its Wasm function type instead.
     ///
     /// # Errors
     ///
-    /// Execution failures ([`Stage::Execute`]) or cross-backend
-    /// disagreement ([`Stage::Differential`]). In differential mode
-    /// *both* backends always run, so a trap on only one of them — the
-    /// very erasure bug differential mode exists to catch — surfaces as
-    /// a [`PipelineErrorKind::Mismatch`], and a failed invocation never
+    /// An unknown module or export, or arguments that do not match the
+    /// export's type ([`PipelineErrorKind::Unsupported`] at
+    /// [`Stage::Execute`], before any backend runs); execution failures
+    /// ([`Stage::Execute`]); cross-backend disagreement
+    /// ([`Stage::Differential`]). In differential mode *both* backends
+    /// always run, so a trap on only one of them — the very erasure bug
+    /// differential mode exists to catch — surfaces as a
+    /// [`PipelineErrorKind::Mismatch`], and a failed invocation never
     /// leaves the two backends' states out of step.
     pub fn invoke(
         &mut self,
         module: &str,
         func: &str,
-        args: Vec<Value>,
+        mut args: Vec<Value>,
     ) -> Result<Invocation, PipelineError> {
+        let (target, sig) = self.resolve(module, func)?;
+        let bad_args = |why: String| {
+            PipelineError::new(
+                Stage::Execute,
+                Some(module),
+                PipelineErrorKind::Unsupported(format!("arguments of `{module}.{func}`: {why}")),
+            )
+        };
+        if let Signature::RichWasm(ty) = sig {
+            check_args(ty, &mut args).map_err(bad_args)?;
+        }
+        let wasm_args = match target.wasm {
+            Some(_) => lower_values(&args)
+                .ok_or_else(|| bad_args(format!("{args:?} have no scalar Wasm lowering")))?,
+            None => Vec::new(),
+        };
+        if let Signature::Wasm(ft) = sig {
+            if !wasm_args.iter().map(Val::ty).eq(ft.params.iter().copied()) {
+                return Err(bad_args(format!(
+                    "{wasm_args:?} do not match the Wasm parameter types {:?}",
+                    ft.params
+                )));
+            }
+        }
+        self.invoke_resolved(module, target, args, &wasm_args)
+            .map(Invocation::new)
+    }
+
+    /// Resolves export `func` of `module` on every live backend — the one
+    /// name lookup behind both invocation paths ([`Instance::invoke`] per
+    /// call, [`Instance::get_typed_func`] once per handle) — and returns
+    /// the export's declared type to check arguments against.
+    ///
+    /// The RichWasm side resolves *through the closure*, so a re-exported
+    /// import calls its defining module directly. A module with no
+    /// RichWasm source resolves on the Wasm backend alone, and only in
+    /// [`Exec::Wasm`] mode: the interpreter cannot run it.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineErrorKind::Unsupported`] at [`Stage::Execute`] for an
+    /// unknown module or export, and when no backend is live.
+    pub(crate) fn resolve(
+        &self,
+        module: &str,
+        func: &str,
+    ) -> Result<(Target, Signature<'_>), PipelineError> {
+        let err = |msg: String| {
+            PipelineError::new(
+                Stage::Execute,
+                Some(module),
+                PipelineErrorKind::Unsupported(msg),
+            )
+        };
+        let no_module = || err(format!("no module named `{module}` in this artifact"));
+        let no_export = || err(format!("module `{module}` has no function export `{func}`"));
+        let checked = match self.artifact.find_module(module) {
+            Some(m) => {
+                let fidx = m.find_export(func).ok_or_else(no_export)?;
+                Some((fidx, m.funcs[fidx as usize].ty()))
+            }
+            None if self.exec_mode().wants_interp() => return Err(no_module()),
+            None => None,
+        };
+        let rw = match (&self.richwasm, checked) {
+            (Some(rt), Some((fidx, _))) => {
+                let cl = rt
+                    .instance_by_name(module)
+                    .and_then(|mi| rt.store.insts.get(mi as usize)?.funcs.get(fidx as usize))
+                    .ok_or_else(no_module)?;
+                Some((cl.inst, cl.func))
+            }
+            _ => None,
+        };
+        let wasm = match &self.wasm {
+            Some(linker) => {
+                let wi = linker.instance_by_name(module).ok_or_else(no_module)?;
+                Some(linker.export_func_addr(wi, func).ok_or_else(no_export)?)
+            }
+            None => None,
+        };
+        let sig = match (checked, &self.wasm, wasm) {
+            (Some((_, ty)), ..) if rw.is_some() || wasm.is_some() => Signature::RichWasm(ty),
+            (None, Some(linker), Some(addr)) => Signature::Wasm(
+                linker
+                    .func_type(addr)
+                    .expect("an export address names a store function"),
+            ),
+            _ => {
+                return Err(err(
+                    "no live backend to resolve against (both were extracted?)".into(),
+                ))
+            }
+        };
+        let target = Target { rw, wasm };
+        Ok((target, sig))
+    }
+
+    /// The invocation core: the only code that runs the backends and
+    /// reconciles them, behind both [`Instance::invoke`] and
+    /// [`TypedFunc::call`](crate::TypedFunc::call). Runs `target` on
+    /// every live backend — the interpreter with `args`, the Wasm linker
+    /// with `wasm_args` — then applies one policy: when both ran and
+    /// succeeded, the results must agree bit for bit; when either
+    /// failed, [`reconcile_failures`] decides. A lone backend's outcome
+    /// is the answer. [`Instance::invoke`] wraps the result in an
+    /// [`Invocation`]; a typed handle converts it on the stack.
+    ///
+    /// `#[inline]` because [`TypedFunc::call`](crate::TypedFunc::call) is
+    /// generic and so compiled in the embedder's crate: inlined, a typed
+    /// call is one function body again (E8 measures it).
+    #[inline]
+    pub(crate) fn invoke_resolved(
+        &mut self,
+        module: &str,
+        target: Target,
+        args: Vec<Value>,
+        wasm_args: &[Val],
+    ) -> Result<Reconciled, PipelineError> {
         self.begin_invocation();
-        let exec = self.exec_mode();
-        invoke_backends(&mut self.richwasm, &mut self.wasm, exec, module, func, args)
+        let execute = |kind| PipelineError::new(Stage::Execute, Some(module), kind);
+        // RichWasm first: in differential mode it is the recording side
+        // of any host functions.
+        let interp = match (target.rw, &mut self.richwasm) {
+            (Some((mi, fi)), Some(rt)) => Some(
+                rt.invoke_func(mi, fi, args)
+                    .map_err(|e| execute(PipelineErrorKind::Runtime(e))),
+            ),
+            _ => None,
+        };
+        let wasm = match (target.wasm, &mut self.wasm) {
+            (Some(addr), Some(linker)) => Some(
+                linker
+                    .invoke_addr(addr, wasm_args)
+                    .map_err(|e| execute(PipelineErrorKind::Wasm(e))),
+            ),
+            _ => None,
+        };
+        match (interp, wasm) {
+            (Some(Ok(ir)), Some(Ok(wr))) => {
+                let differential =
+                    |kind| PipelineError::new(Stage::Differential, Some(module), kind);
+                let Some(lowered) = lower_values(&ir.values) else {
+                    return Err(differential(PipelineErrorKind::Unsupported(format!(
+                        "result {:?} has no scalar Wasm lowering to compare against",
+                        ir.values
+                    ))));
+                };
+                if !vals_equal(&lowered, &wr) {
+                    return Err(differential(PipelineErrorKind::Mismatch {
+                        richwasm: format!("{:?}", ir.values),
+                        wasm: format!("{wr:?}"),
+                    }));
+                }
+                Ok((Some(ir), Some(wr)))
+            }
+            (Some(ir), Some(wr)) => Err(reconcile_failures(module, ir, wr)),
+            (Some(ir), None) => Ok((Some(ir?), None)),
+            (None, Some(wr)) => Ok((None, Some(wr?))),
+            (None, None) => Err(execute(PipelineErrorKind::Unsupported(
+                "no live backend to call (both were extracted?)".into(),
+            ))),
+        }
     }
 
     /// Invokes the entry function (default `"main"`, see
@@ -1829,9 +2019,9 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// One invocation request for the batch APIs
-/// ([`InstancePool::invoke_batch`], [`Engine::invoke_parallel`]): which
-/// export of which module to call, with which arguments.
+/// One invocation request for [`InstancePool::invoke_batch`] and
+/// [`EngineServer`](crate::server::EngineServer): which export of which
+/// module to call, with which arguments.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// The target module name.
@@ -1857,7 +2047,7 @@ impl Job {
 /// Pool effectiveness counters, via [`InstancePool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Instances handed out by `checkout`/`try_checkout`.
+    /// Instances handed out by `checkout`.
     pub checkouts: u64,
     /// Instances returned, reset, and made available again.
     pub recycled: u64,
@@ -1865,8 +2055,7 @@ pub struct PoolStats {
     /// replaced (never observed in practice — both require an artifact
     /// that already instantiated once to fail to do so again).
     pub lost: u64,
-    /// Checkouts that found the pool empty and had to wait (including
-    /// [`InstancePool::checkout_timeout`] calls that timed out).
+    /// Checkouts that found the pool empty and had to wait.
     pub blocked_waits: u64,
     /// Total time those checkouts spent waiting, in nanoseconds
     /// (saturating; ~584 years of cumulative waiting before it matters).
@@ -1978,67 +2167,6 @@ impl InstancePool {
             waited.get_or_insert_with(Instant::now);
             state = self.available.wait(state).expect("instance pool poisoned");
         }
-    }
-
-    /// [`InstancePool::checkout`] with a bounded wait: `None` when no
-    /// instance became available within `timeout`. The wait (successful
-    /// or not) is recorded in [`PoolStats::blocked_waits`] /
-    /// [`PoolStats::blocked_nanos`], so contention is observable either
-    /// way.
-    pub fn checkout_timeout(&self, timeout: Duration) -> Option<PooledInstance<'_>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("instance pool poisoned");
-        let mut waited: Option<Instant> = None;
-        loop {
-            if let Some(inst) = state.idle.pop() {
-                state.stats.checkouts += 1;
-                if let Some(since) = waited {
-                    state.stats.blocked_waits += 1;
-                    state.stats.blocked_nanos = state
-                        .stats
-                        .blocked_nanos
-                        .saturating_add(since.elapsed().as_nanos() as u64);
-                }
-                return Some(PooledInstance {
-                    pool: self,
-                    inst: Some(inst),
-                });
-            }
-            let since = *waited.get_or_insert_with(Instant::now);
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                state.stats.blocked_waits += 1;
-                state.stats.blocked_nanos = state
-                    .stats
-                    .blocked_nanos
-                    .saturating_add(since.elapsed().as_nanos() as u64);
-                return None;
-            };
-            let (next, timed_out) = self
-                .available
-                .wait_timeout(state, remaining)
-                .expect("instance pool poisoned");
-            state = next;
-            if timed_out.timed_out() && state.idle.is_empty() {
-                state.stats.blocked_waits += 1;
-                state.stats.blocked_nanos = state
-                    .stats
-                    .blocked_nanos
-                    .saturating_add(since.elapsed().as_nanos() as u64);
-                return None;
-            }
-        }
-    }
-
-    /// [`InstancePool::checkout`] without blocking: `None` when every
-    /// instance is currently checked out.
-    pub fn try_checkout(&self) -> Option<PooledInstance<'_>> {
-        let mut state = self.state.lock().expect("instance pool poisoned");
-        let inst = state.idle.pop()?;
-        state.stats.checkouts += 1;
-        Some(PooledInstance {
-            pool: self,
-            inst: Some(inst),
-        })
     }
 
     /// Returns an instance to the pool. The instance is **re-reset** here
@@ -2385,31 +2513,6 @@ impl Engine {
         self.compile(set)?.instantiate()
     }
 
-    /// Drives `jobs` across `workers` scoped threads over a fresh
-    /// [`InstancePool`] of the compiled (cache-aware) module set:
-    /// [`Engine::compile`] → [`Artifact::pool`]`(workers)` →
-    /// [`InstancePool::invoke_batch`]. Per-job outcomes come back in job
-    /// order; differential checking and host record/replay stay strictly
-    /// per-instance, exactly as in sequential invocation.
-    ///
-    /// Services that invoke the same set repeatedly should hold the pool
-    /// themselves ([`Artifact::pool`]) instead of re-instantiating one
-    /// per batch — this is the one-call convenience form.
-    ///
-    /// # Errors
-    ///
-    /// Compile and instantiation failures. Per-job execution failures are
-    /// reported in the returned vector, not as a batch failure.
-    pub fn invoke_parallel(
-        &self,
-        set: &ModuleSet,
-        workers: usize,
-        jobs: &[Job],
-    ) -> Result<Vec<Result<Invocation, PipelineError>>, PipelineError> {
-        let pool = self.compile(set)?.pool(workers.max(1))?;
-        Ok(pool.invoke_batch(workers.max(1), jobs))
-    }
-
     /// The full static pipeline, no cache involved.
     fn compile_cold(&self, set: &ModuleSet, key: CacheKey) -> Result<Artifact, PipelineError> {
         let config = &self.config;
@@ -2704,18 +2807,21 @@ fn enforce_analysis(
     Ok(())
 }
 
-/// Flattens a RichWasm result value to its lowered Wasm representation
-/// (`unit` erases; numerics map to their Wasm type). Returns `None` for
-/// values without a direct scalar lowering (references, tuples, …).
-fn flatten_value(v: &Value) -> Option<Vec<Val>> {
-    match v {
-        Value::Unit => Some(vec![]),
-        Value::Num(NumType::I32 | NumType::U32, bits) => Some(vec![Val::I32(*bits as u32)]),
-        Value::Num(NumType::I64 | NumType::U64, bits) => Some(vec![Val::I64(*bits)]),
-        Value::Num(NumType::F32, bits) => Some(vec![Val::F32(f32::from_bits(*bits as u32))]),
-        Value::Num(NumType::F64, bits) => Some(vec![Val::F64(f64::from_bits(*bits))]),
-        _ => None,
-    }
+/// Lowers RichWasm values the way the compiler lowers parameter and
+/// result types: `unit` erases, numerics map to their Wasm type. `None`
+/// when a value has no scalar lowering (references, tuples, …).
+fn lower_values(values: &[Value]) -> Option<Vec<Val>> {
+    values
+        .iter()
+        .filter(|v| !matches!(v, Value::Unit))
+        .map(|v| match v {
+            Value::Num(NumType::I32 | NumType::U32, bits) => Some(Val::I32(*bits as u32)),
+            Value::Num(NumType::I64 | NumType::U64, bits) => Some(Val::I64(*bits)),
+            Value::Num(NumType::F32, bits) => Some(Val::F32(f32::from_bits(*bits as u32))),
+            Value::Num(NumType::F64, bits) => Some(Val::F64(f64::from_bits(*bits))),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Bit-exact comparison (floats compare by bit pattern, so NaN == NaN).
@@ -2728,135 +2834,44 @@ fn vals_equal(a: &[Val], b: &[Val]) -> bool {
         })
 }
 
-/// The invocation path of [`Instance::invoke`]: run every available
-/// backend, cross-check in differential mode.
-fn invoke_backends(
-    richwasm: &mut Option<Runtime>,
-    wasm: &mut Option<WasmLinker>,
-    exec: Exec,
-    module: &str,
-    func: &str,
-    args: Vec<Value>,
-) -> Result<Invocation, PipelineError> {
-    // Flatten up front so the interpreter path below can consume `args`
-    // without cloning. A value with no scalar lowering only matters when
-    // a Wasm backend actually runs, so the error is deferred into that
-    // closure.
-    let wargs: Result<Vec<Val>, PipelineError> = args.iter().try_fold(Vec::new(), |mut acc, a| {
-        let flat = flatten_value(a).ok_or_else(|| {
-            PipelineError::new(
-                Stage::Execute,
-                Some(module),
-                PipelineErrorKind::Unsupported(format!(
-                    "argument {a:?} has no scalar Wasm lowering"
-                )),
-            )
-        })?;
-        acc.extend(flat);
-        Ok(acc)
-    });
-
-    let interp_result: Option<Result<InvokeResult, PipelineError>> = richwasm.as_mut().map(|rt| {
-        let inst = rt.instance_by_name(module).ok_or_else(|| {
-            PipelineError::new(
-                Stage::Execute,
-                Some(module),
-                PipelineErrorKind::Unsupported(format!("no module named `{module}`")),
-            )
-        })?;
-        rt.invoke(inst, func, args).map_err(|e| {
-            PipelineError::new(Stage::Execute, Some(module), PipelineErrorKind::Runtime(e))
-        })
-    });
-    // Outside differential mode there is nothing to cross-check, so
-    // an interpreter failure propagates immediately.
-    let interp_result = match (interp_result, exec) {
-        (Some(r), Exec::Differential) => Some(r),
-        (Some(r), _) => Some(Ok(r?)),
-        (None, _) => None,
-    };
-
-    let wasm_result: Option<Result<Vec<Val>, PipelineError>> = wasm.as_mut().map(|linker| {
-        let inst = linker.instance_by_name(module).ok_or_else(|| {
-            PipelineError::new(
-                Stage::Execute,
-                Some(module),
-                PipelineErrorKind::Unsupported(format!("no module named `{module}`")),
-            )
-        })?;
-        let wargs = wargs?;
-        linker.invoke(inst, func, &wargs).map_err(|e| {
-            PipelineError::new(Stage::Execute, Some(module), PipelineErrorKind::Wasm(e))
-        })
-    });
-
-    if exec == Exec::Differential {
-        // A backend may have been extracted through the pub fields
-        // (the benches do this); fall back to whatever is left.
-        match (interp_result, wasm_result) {
-            (Some(ir), Some(wr)) => return compare(module, ir, wr),
-            (ir, wr) => return Ok(Invocation::new(ir.transpose()?, wr.transpose()?)),
+/// Checks string-keyed arguments against an export's checked RichWasm
+/// type: the count, then each numeric argument's width by the rule typed
+/// handles apply ([`HostValType::compatible`](crate::HostValType::compatible):
+/// same width, signedness free; a float matches only a float). Each
+/// numeric argument is retyped to its declared type, so the interpreter
+/// starts from a well-typed configuration. Arguments of other parameter
+/// types (references, type variables, …) are left to the backends.
+fn check_args(ty: &FunType, args: &mut [Value]) -> Result<(), String> {
+    let params = &ty.arrow.params;
+    if args.len() != params.len() {
+        return Err(format!(
+            "{} given, the checked type {ty} takes {}",
+            args.len(),
+            params.len()
+        ));
+    }
+    for (i, (arg, p)) in args.iter_mut().zip(params).enumerate() {
+        let ok = match (&*p.pre, &mut *arg) {
+            (Pretype::Unit, Value::Unit) => true,
+            (Pretype::Num(want), Value::Num(got, _))
+                if want.bits() == got.bits() && want.is_int() == got.is_int() =>
+            {
+                *got = *want;
+                true
+            }
+            (Pretype::Unit | Pretype::Num(_), _) => false,
+            _ => true,
+        };
+        if !ok {
+            return Err(format!(
+                "argument {i} `{arg}` does not match parameter type `{p}`"
+            ));
         }
     }
-
-    Ok(Invocation::new(
-        interp_result.transpose()?,
-        wasm_result.transpose()?,
-    ))
+    Ok(())
 }
 
-/// Differential-mode reconciliation: both outcomes (success or failure)
-/// must agree.
-fn compare(
-    module: &str,
-    interp: Result<InvokeResult, PipelineError>,
-    wasm: Result<Vec<Val>, PipelineError>,
-) -> Result<Invocation, PipelineError> {
-    match (interp, wasm) {
-        (Ok(ir), Ok(wr)) => {
-            let mut flat = Vec::new();
-            let mut comparable = true;
-            for v in &ir.values {
-                match flatten_value(v) {
-                    Some(vals) => flat.extend(vals),
-                    None => comparable = false,
-                }
-            }
-            if !comparable {
-                return Err(PipelineError::new(
-                    Stage::Differential,
-                    Some(module),
-                    PipelineErrorKind::Unsupported(format!(
-                        "result {:?} has no scalar Wasm lowering to compare against",
-                        ir.values
-                    )),
-                ));
-            }
-            if !vals_equal(&flat, &wr) {
-                return Err(PipelineError::new(
-                    Stage::Differential,
-                    Some(module),
-                    PipelineErrorKind::Mismatch {
-                        richwasm: format!("{:?}", ir.values),
-                        wasm: format!("{wr:?}"),
-                    },
-                ));
-            }
-            Ok(Invocation::new(Some(ir), Some(wr)))
-        }
-        // At least one side failed: the shared policy decides.
-        (ir, wr) => Err(reconcile_failures(
-            module,
-            ir.map(|r| format!("{:?}", r.values)),
-            wr.map(|vals| format!("{vals:?}")),
-        )),
-    }
-}
-
-/// The shared differential *failure* policy, used by both the
-/// string-keyed invoke path and `TypedFunc::call` (successes are
-/// pre-rendered by the caller; the `(Ok, Ok)` value comparison differs
-/// per path and stays with the caller):
+/// The differential *failure* policy — when at least one backend failed:
 ///
 /// * fuel exhaustion on **either** backend — an agreed preemption, not a
 ///   mismatch. The two backends meter fuel in different native units
@@ -2871,40 +2886,35 @@ fn compare(
 /// * both failed otherwise (stuck, …) — still a disagreement worth
 ///   surfacing with both sides attached;
 /// * one-sided failure — the disagreement differential mode exists for.
-pub(crate) fn reconcile_failures(
+fn reconcile_failures(
     module: &str,
-    interp: Result<String, PipelineError>,
-    wasm: Result<String, PipelineError>,
+    interp: Result<InvokeResult, PipelineError>,
+    wasm: Result<Vec<Val>, PipelineError>,
 ) -> PipelineError {
     debug_assert!(interp.is_err() || wasm.is_err());
-    if let Err(ie) = &interp {
-        if ie.is_fuel_exhausted() {
-            return interp.unwrap_err();
+    match (interp, wasm) {
+        (Err(ie), _) if ie.is_fuel_exhausted() => ie,
+        (_, Err(we)) if we.is_fuel_exhausted() => we,
+        (Err(ie), Err(_))
+            if matches!(
+                ie.kind,
+                PipelineErrorKind::Runtime(RuntimeError::Trap { .. })
+            ) =>
+        {
+            ie
         }
+        (interp, wasm) => PipelineError::new(
+            Stage::Differential,
+            Some(module),
+            PipelineErrorKind::Mismatch {
+                richwasm: interp.map_or_else(
+                    |e| format!("error: {}", e.kind),
+                    |r| format!("{:?}", r.values),
+                ),
+                wasm: wasm.map_or_else(|e| format!("error: {}", e.kind), |v| format!("{v:?}")),
+            },
+        ),
     }
-    if let Err(we) = &wasm {
-        if we.is_fuel_exhausted() {
-            return wasm.unwrap_err();
-        }
-    }
-    if let (Err(ie), Err(_)) = (&interp, &wasm) {
-        if matches!(
-            ie.kind,
-            PipelineErrorKind::Runtime(RuntimeError::Trap { .. })
-        ) {
-            return interp.unwrap_err();
-        }
-    }
-    let render =
-        |side: Result<String, PipelineError>| side.unwrap_or_else(|e| format!("error: {}", e.kind));
-    PipelineError::new(
-        Stage::Differential,
-        Some(module),
-        PipelineErrorKind::Mismatch {
-            richwasm: render(interp),
-            wasm: render(wasm),
-        },
-    )
 }
 
 // The embedder's concurrency contract, enforced at compile time (the
@@ -3043,8 +3053,7 @@ mod tests {
         {
             let mut a = pool.checkout();
             let mut b = pool.checkout();
-            assert_eq!(pool.idle(), 0);
-            assert!(pool.try_checkout().is_none(), "pool exhausted");
+            assert_eq!(pool.idle(), 0, "pool exhausted");
             assert_eq!(a.invoke_entry().unwrap().i32(), Some(11));
             assert_eq!(b.invoke_entry().unwrap().i32(), Some(11));
             assert_eq!(a.invocations(), 1);

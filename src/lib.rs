@@ -14,9 +14,8 @@
 //!   For concurrent traffic, [`Artifact::pool`](engine::Artifact::pool)
 //!   pre-instantiates an [`InstancePool`] that worker threads check
 //!   instances out of (recycled through `reset` on checkin), and
-//!   [`Engine::invoke_parallel`](engine::Engine::invoke_parallel) /
 //!   [`InstancePool::invoke_batch`](engine::InstancePool::invoke_batch)
-//!   drive whole batches across scoped threads.
+//!   drives whole batches across scoped threads.
 //! * [`call`] — the typed host↔guest boundary over the engine: [`TypedFunc`]
 //!   handles (signature checked once against the artifact's checked
 //!   types, then lookup-free calls) and host functions

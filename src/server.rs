@@ -1,14 +1,13 @@
 //! Open-loop serving: [`EngineServer`] — an asynchronous job scheduler
 //! over an [`Artifact`] + [`InstancePool`].
 //!
-//! The batch APIs ([`InstancePool::invoke_batch`],
-//! `Engine::invoke_parallel`) are *closed-loop*: the caller blocks until
-//! the whole batch completes, so arrival stops whenever the system is
-//! busy. Real traffic is an *open-loop* stream — requests keep arriving
-//! whether or not the system keeps up — and an embedder that cannot shed
-//! load, bound queueing, or preempt a runaway guest will fall over on
-//! the first hot tenant. This module adds that serving discipline
-//! (DESIGN.md §10):
+//! The batch API ([`InstancePool::invoke_batch`]) is *closed-loop*: the
+//! caller blocks until the whole batch completes, so arrival stops
+//! whenever the system is busy. Real traffic is an *open-loop* stream —
+//! requests keep arriving whether or not the system keeps up — and an
+//! embedder that cannot shed load, bound queueing, or preempt a runaway
+//! guest will fall over on the first hot tenant. This module adds that
+//! serving discipline (DESIGN.md §10):
 //!
 //! * **Bounded queues, non-blocking submission.** Each tenant owns a
 //!   bounded FIFO queue. All queues, in-flight counts and the drain flag

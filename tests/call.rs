@@ -6,16 +6,31 @@
 //! embedder*: the same FFI type check that guards ML↔L3 linking guards a
 //! Rust closure exposed to guests, and differential checking keeps
 //! running across host calls via per-invocation record/replay.
+//!
+//! String-keyed `Instance::invoke` and `TypedFunc::call` share one
+//! invocation core: they resolve the same way, check arguments against
+//! the export's checked type before any backend runs, and reconcile the
+//! backends with one policy, so they agree on every outcome on every
+//! `Exec` mode.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use std::mem::discriminant;
+
 use proptest::prelude::*;
 use richwasm::syntax::*;
-use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, PipelineErrorKind, Stage};
+use richwasm_bench::workloads::churn;
+use richwasm_repro::engine::{
+    Engine, EngineConfig, Exec, Instance, Invocation, Job, ModuleSet, PipelineError,
+    PipelineErrorKind, Stage,
+};
+use richwasm_repro::server::{EngineServer, JobError, ServerConfig, TenantConfig};
 use richwasm_repro::{HostSig, HostVal, HostValType, WasmParams, WasmResults, WasmTy};
 
-/// A module with `add : [i32, i32] -> [i32]` and `answer : [] -> [i32]`.
+/// A module with `add : [i32, i32] -> [i32]`, `answer : [] -> [i32]` = 42,
+/// `id_u32 : [u32] -> [u32]`, `div : [i32, i32] -> [i32]` (signed, traps
+/// on a zero divisor) and `wide : [i64] -> [i64]` = x + 1.
 fn arith_module() -> Module {
     Module {
         funcs: vec![
@@ -37,6 +52,28 @@ fn arith_module() -> Module {
                 ty: FunType::mono(vec![], vec![Type::num(NumType::I32)]),
                 locals: vec![],
                 body: vec![Instr::i32(42)],
+            },
+            Func::Defined {
+                exports: vec!["id_u32".into()],
+                ty: FunType::mono(vec![Type::num(NumType::U32)], vec![Type::num(NumType::U32)]),
+                locals: vec![],
+                body: vec![Instr::GetLocal(0, Qual::Unr)],
+            },
+            Func::Defined {
+                exports: vec!["div".into()],
+                ty: FunType::mono(
+                    vec![Type::num(NumType::I32), Type::num(NumType::I32)],
+                    vec![Type::num(NumType::I32)],
+                ),
+                locals: vec![],
+                body: vec![
+                    Instr::GetLocal(0, Qual::Unr),
+                    Instr::GetLocal(1, Qual::Unr),
+                    Instr::Num(NumInstr::IntBinop(
+                        NumType::I32,
+                        instr::IntBinop::Div(instr::Sign::S),
+                    )),
+                ],
             },
             Func::Defined {
                 exports: vec!["wide".into()],
@@ -574,5 +611,231 @@ proptest! {
             .unwrap();
         prop_assert_eq!(typed, stringly);
         prop_assert_eq!(typed, x.wrapping_add(y));
+    }
+}
+
+const MODES: [Exec; 3] = [Exec::Interp, Exec::Wasm, Exec::Differential];
+
+/// Arithmetic, a host client, and a loop far beyond [`FUEL`] in either
+/// backend's metering unit.
+fn mixed_set() -> ModuleSet {
+    ModuleSet::new()
+        .richwasm("m", arith_module())
+        .richwasm("h", host_client())
+        .richwasm("spin", churn(100_000))
+        .entry("m")
+        .host_fn(
+            "host",
+            "tick",
+            HostSig::new([HostValType::I32], [HostValType::I32]),
+            |args| match args {
+                [HostVal::I32(x)] => Ok(vec![HostVal::I32(x * 2)]),
+                _ => Err("expected one i32".into()),
+            },
+        )
+}
+
+/// Ample for every export of [`mixed_set`] except `spin.main`.
+const FUEL: u64 = 5_000;
+
+fn fueled_instance(exec: Exec) -> Instance {
+    Engine::with_config(EngineConfig::new().exec(exec).fuel(FUEL))
+        .instantiate(&mixed_set())
+        .unwrap()
+}
+
+fn assert_resolve_error(err: &PipelineError, what: &str) {
+    assert_eq!(err.stage, Stage::Execute, "{what}: {err}");
+    assert!(
+        matches!(err.kind, PipelineErrorKind::Unsupported(_)),
+        "{what}: {err}"
+    );
+}
+
+#[test]
+fn unknown_module_or_export_fails_at_resolve_time_on_every_mode() {
+    for exec in MODES {
+        let mut inst = fueled_instance(exec);
+        for (module, func) in [("m", "nope"), ("nope", "answer")] {
+            let what = format!("{exec:?} {module}.{func}");
+            let err = inst.invoke(module, func, vec![]).unwrap_err();
+            assert_resolve_error(&err, &what);
+            assert_eq!(err.module.as_deref(), Some(module), "{what}");
+            let err = inst.get_typed_func::<(), i32>(module, func).unwrap_err();
+            assert_resolve_error(&err, &what);
+        }
+        assert_eq!(inst.invocations(), 0, "{exec:?}: no backend ran");
+        assert_eq!(inst.invoke("m", "answer", vec![]).unwrap().i32(), Some(42));
+    }
+
+    // Served: the job fails with the resolve error, not as a backend
+    // disagreement, and the worker serves the next job.
+    let artifact = Engine::new().compile(&mixed_set()).unwrap();
+    let server = EngineServer::start(
+        &artifact,
+        ServerConfig::new()
+            .workers(1)
+            .tenant("t", TenantConfig::new()),
+    )
+    .unwrap();
+    let typo = server.submit("t", Job::new("m", "answr", vec![])).unwrap();
+    let next = server.submit("t", Job::new("m", "answer", vec![])).unwrap();
+    match typo.wait().result {
+        Err(JobError::Failed(msg)) => {
+            assert!(msg.contains("no function export `answr`"), "{msg}");
+            assert!(!msg.contains("disagree"), "reported as a mismatch: {msg}");
+            assert!(!msg.contains("differential"), "{msg}");
+        }
+        other => panic!("expected JobError::Failed, got {other:?}"),
+    }
+    assert_eq!(next.wait().result.unwrap().i32(), Some(42));
+    server.drain();
+}
+
+#[test]
+fn argument_count_and_width_are_checked_before_any_backend_runs() {
+    for exec in MODES {
+        let mut inst = fueled_instance(exec);
+        let bad: [(&str, Vec<Value>); 4] = [
+            // One argument too many for a nullary export: the interpreter
+            // used to leave it on the stack and return `[1, 42]`.
+            ("answer", vec![Value::i32(1)]),
+            ("div", vec![Value::i32(1)]),
+            // A 64-bit value for a 32-bit parameter, and the reverse.
+            ("id_u32", vec![Value::i64(1)]),
+            ("wide", vec![Value::i32(1)]),
+        ];
+        for (func, args) in bad {
+            let what = format!("{exec:?} m.{func}({args:?})");
+            let err = inst.invoke("m", func, args).unwrap_err();
+            assert_resolve_error(&err, &what);
+        }
+        assert_eq!(inst.invocations(), 0, "{exec:?}: no backend ran");
+
+        // Same width, other signedness: accepted and retyped to the
+        // declared `u32`, as a typed handle would.
+        let run = inst.invoke("m", "id_u32", vec![Value::i32(-1)]).unwrap();
+        assert_eq!(run.returned::<u32>(), Some(u32::MAX), "{exec:?}");
+        assert_eq!(run.results().len(), 1, "{exec:?}");
+    }
+}
+
+/// A case's typed call, its result rendered with `{:?}`.
+fn typed<P: WasmParams, R: WasmResults + std::fmt::Debug>(
+    inst: &mut Instance,
+    module: &str,
+    func: &str,
+    params: P,
+) -> Result<String, PipelineError> {
+    let handle = inst.get_typed_func::<P, R>(module, func)?;
+    handle.call(inst, params).map(|r| format!("{r:?}"))
+}
+
+/// The string path's result at the case's Rust result type, `{:?}`.
+fn returned<R: WasmResults + std::fmt::Debug>(run: &Invocation) -> Option<String> {
+    run.returned::<R>().map(|r| format!("{r:?}"))
+}
+
+enum Expect {
+    Value(&'static str),
+    Trap,
+    OutOfFuel,
+}
+
+struct Case {
+    name: &'static str,
+    module: &'static str,
+    func: &'static str,
+    args: Vec<Value>,
+    typed: fn(&mut Instance) -> Result<String, PipelineError>,
+    returned: fn(&Invocation) -> Option<String>,
+    expect: Expect,
+}
+
+#[test]
+fn typed_and_string_calls_agree_on_every_outcome() {
+    let cases = [
+        Case {
+            name: "plain value",
+            module: "m",
+            func: "answer",
+            args: vec![],
+            typed: |i| typed::<(), i32>(i, "m", "answer", ()),
+            returned: returned::<i32>,
+            expect: Expect::Value("42"),
+        },
+        Case {
+            name: "u32 result read as i32",
+            module: "m",
+            func: "id_u32",
+            args: vec![Value::Num(NumType::U32, u32::MAX as u64)],
+            typed: |i| typed::<u32, i32>(i, "m", "id_u32", u32::MAX),
+            returned: returned::<i32>,
+            expect: Expect::Value("-1"),
+        },
+        Case {
+            name: "i32 argument to a u32 parameter",
+            module: "m",
+            func: "id_u32",
+            args: vec![Value::i32(-2)],
+            typed: |i| typed::<i32, u32>(i, "m", "id_u32", -2),
+            returned: returned::<u32>,
+            expect: Expect::Value("4294967294"),
+        },
+        Case {
+            name: "division by zero",
+            module: "m",
+            func: "div",
+            args: vec![Value::i32(7), Value::i32(0)],
+            typed: |i| typed::<(i32, i32), i32>(i, "m", "div", (7, 0)),
+            returned: returned::<i32>,
+            expect: Expect::Trap,
+        },
+        Case {
+            name: "fuel exhaustion",
+            module: "spin",
+            func: "main",
+            args: vec![],
+            typed: |i| typed::<(), i32>(i, "spin", "main", ()),
+            returned: returned::<i32>,
+            expect: Expect::OutOfFuel,
+        },
+        Case {
+            name: "host call",
+            module: "h",
+            func: "main",
+            args: vec![],
+            typed: |i| typed::<(), i32>(i, "h", "main", ()),
+            returned: returned::<i32>,
+            expect: Expect::Value("11"),
+        },
+    ];
+    for exec in MODES {
+        let mut inst = fueled_instance(exec);
+        for case in &cases {
+            let what = format!("{exec:?} {}", case.name);
+            let string = inst.invoke(case.module, case.func, case.args.clone());
+            inst.reset().unwrap();
+            let typed = (case.typed)(&mut inst);
+            inst.reset().unwrap();
+            match (string, typed, &case.expect) {
+                (Ok(run), Ok(value), Expect::Value(want)) => {
+                    assert_eq!((case.returned)(&run).as_deref(), Some(*want), "{what}");
+                    assert_eq!(value, *want, "{what}");
+                }
+                (Err(s), Err(t), expect @ (Expect::Trap | Expect::OutOfFuel)) => {
+                    assert_eq!(
+                        (s.stage, discriminant(&s.kind)),
+                        (t.stage, discriminant(&t.kind)),
+                        "{what}: string path {s}, typed path {t}"
+                    );
+                    assert_eq!(s.stage, Stage::Execute, "{what}: {s}");
+                    let fuel = matches!(expect, Expect::OutOfFuel);
+                    assert_eq!(s.is_fuel_exhausted(), fuel, "{what}: {s}");
+                    assert_eq!(t.is_fuel_exhausted(), fuel, "{what}: {t}");
+                }
+                (s, t, _) => panic!("{what}: string path {s:?}, typed path {t:?}"),
+            }
+        }
     }
 }

@@ -263,18 +263,18 @@ fn threaded_stress_shared_engine_cache_and_pool() {
     assert_eq!(pool.idle(), POOL, "all instances returned");
 }
 
-// `Engine::invoke_parallel` must hand back outcomes in job order — here
-// every job has distinct arguments, so a transposed result is visible —
-// and agree with the sequential baseline.
+// `InstancePool::invoke_batch` must hand back outcomes in job order —
+// here every job has distinct arguments, so a transposed result is
+// visible — and keep a failing job's error in its own slot.
 #[test]
-fn invoke_parallel_preserves_job_order_with_distinct_args() {
+fn invoke_batch_preserves_job_order_with_distinct_args() {
     let set = ModuleSet::new().richwasm("m", arith_module());
-    let jobs: Vec<Job> = (0..24)
+    let mut jobs: Vec<Job> = (0..24)
         .map(|i| Job::new("m", "add", vec![Value::i32(i), Value::i32(2 * i)]))
         .collect();
 
-    let engine = Engine::new();
-    let results = engine.invoke_parallel(&set, 4, &jobs).unwrap();
+    let pool = Engine::new().compile(&set).unwrap().pool(4).unwrap();
+    let results = pool.invoke_batch(4, &jobs);
     assert_eq!(results.len(), jobs.len());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
@@ -286,10 +286,14 @@ fn invoke_parallel_preserves_job_order_with_distinct_args() {
 
     // Per-job failures stay per-job: an unknown export fails its slot,
     // the rest of the batch is unaffected.
-    let mut jobs = jobs;
     jobs[5] = Job::new("m", "nope", vec![]);
-    let results = engine.invoke_parallel(&set, 4, &jobs).unwrap();
-    assert!(results[5].is_err());
+    let results = pool.invoke_batch(4, &jobs);
+    let err = results[5].as_ref().unwrap_err();
+    assert_eq!(err.stage, Stage::Execute, "{err}");
+    assert!(
+        matches!(err.kind, PipelineErrorKind::Unsupported(_)),
+        "{err}"
+    );
     assert_eq!(results[6].as_ref().unwrap().i32(), Some(18));
 }
 
@@ -833,6 +837,49 @@ fn load_wasm_runs_external_modules_and_rejects_differential() {
     assert!(matches!(err.kind, PipelineErrorKind::Decode(_)), "{err}");
 }
 
+// Modules without RichWasm source have only their Wasm function type to
+// check arguments against — the external binary of `load_wasm` and the
+// lowered modules of a deserialized artifact alike. A bad argument list
+// fails before the VM runs, with the error a RichWasm export gives.
+#[test]
+fn wasm_only_artifacts_check_arguments_against_the_wasm_type() {
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
+    let loaded = engine.load_wasm(external_wasm_bytes()).unwrap();
+    let bytes = engine
+        .compile(&ModuleSet::new().richwasm("m", arith_module()))
+        .unwrap()
+        .serialize()
+        .expect("a host-free artifact serializes");
+    let decoded = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
+
+    let calls = [
+        (loaded, "main", "main", vec![], vec![Value::i32(1)]),
+        (
+            decoded,
+            "m",
+            "add",
+            vec![Value::i32(40), Value::i32(2)],
+            vec![Value::i32(40), Value::i64(2)],
+        ),
+    ];
+    for (artifact, module, func, good, bad) in calls {
+        let mut inst = artifact.instantiate().unwrap();
+        let err = inst.invoke(module, func, bad).unwrap_err();
+        assert_eq!(err.stage, Stage::Execute, "{err}");
+        assert!(
+            matches!(err.kind, PipelineErrorKind::Unsupported(_)),
+            "{err}"
+        );
+        let err = inst.invoke(module, "nope", vec![]).unwrap_err();
+        assert!(
+            matches!(err.kind, PipelineErrorKind::Unsupported(_)),
+            "{err}"
+        );
+        assert_eq!(inst.invocations(), 0, "no backend ran");
+        assert_eq!(inst.invoke(module, func, good).unwrap().i32(), Some(42));
+    }
+}
+
 #[test]
 fn persistent_cache_survives_engine_restart() {
     let dir = scratch_dir("disk_hit");
@@ -1209,49 +1256,41 @@ fn tree_tier_still_serves_and_caches_separately() {
     );
 }
 
-// PR 6: pool contention must be observable. `checkout_timeout` bounds
-// the wait and both the bounded and unbounded paths account their
-// blocked time in `PoolStats`.
+// Pool contention must be observable: a checkout that finds the pool
+// empty blocks until a checkin wakes it, and its wait shows up in
+// `PoolStats`.
 #[test]
-fn pool_checkout_timeout_bounds_and_accounts_the_wait() {
-    use std::time::{Duration, Instant};
+fn pool_blocked_checkout_accounts_the_wait() {
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     let artifact = Engine::new().compile(&stash_set()).unwrap();
     let pool = artifact.pool(1).unwrap();
 
     // Uncontended: immediate success, no blocked wait recorded.
-    let held = pool.checkout_timeout(Duration::from_secs(5)).unwrap();
+    let held = pool.checkout();
     assert_eq!(pool.stats().blocked_waits, 0);
 
-    // Contended: the only instance is out, so the bounded wait elapses
-    // and returns None — and the wait is visible in the stats.
-    let start = Instant::now();
-    assert!(pool.checkout_timeout(Duration::from_millis(30)).is_none());
-    let waited = start.elapsed();
-    assert!(
-        waited >= Duration::from_millis(30),
-        "returned early: {waited:?}"
-    );
+    // Contended: the only instance is out, so a second checkout blocks
+    // until the checkin, and the wait is visible in the stats.
+    let pool = &pool;
+    std::thread::scope(|scope| {
+        let (ready, about_to_block) = mpsc::channel();
+        let waiter = scope.spawn(move || {
+            ready.send(()).unwrap();
+            let mut inst = pool.checkout();
+            inst.invoke("l3", "main", vec![]).unwrap().i32()
+        });
+        about_to_block.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        drop(held);
+        assert_eq!(waiter.join().unwrap(), Some(42));
+    });
     let stats = pool.stats();
-    assert_eq!(stats.blocked_waits, 1);
+    assert_eq!(stats.checkouts, 2);
+    assert_eq!(stats.blocked_waits, 1, "{stats}");
     assert!(
         stats.blocked_wait_time() >= Duration::from_millis(25),
         "blocked time unaccounted: {stats}"
     );
-
-    // Checkin wakes a bounded waiter just like an unbounded one.
-    let pool2 = &pool;
-    std::thread::scope(|scope| {
-        let waiter = scope.spawn(move || {
-            pool2
-                .checkout_timeout(Duration::from_secs(30))
-                .map(|mut inst| inst.invoke("l3", "main", vec![]).is_ok())
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        drop(held);
-        assert_eq!(waiter.join().unwrap(), Some(true));
-    });
-    let stats = pool.stats();
-    assert_eq!(stats.checkouts, 2, "timed-out attempts are not checkouts");
-    assert_eq!(stats.blocked_waits, 2, "{stats}");
 }
