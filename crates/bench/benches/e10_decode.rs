@@ -21,9 +21,8 @@
 //! acceptance gate requires decode+validate to beat the full pipeline by
 //! ≥ 3× (in practice it is far more — the substructural check dominates).
 
-use std::time::{Duration, Instant};
-
 use criterion::{criterion_group, criterion_main, Criterion};
+use richwasm_bench::median_of;
 use richwasm_bench::workloads::{stash_client, stash_module};
 use richwasm_repro::engine::{Artifact, Engine, EngineConfig, Exec, ModuleSet};
 use richwasm_wasm::decode::decode_module;
@@ -38,17 +37,6 @@ fn stash_set() -> ModuleSet {
 
 fn wasm_config() -> EngineConfig {
     EngineConfig::new().exec(Exec::Wasm)
-}
-
-fn median_of<T>(samples: usize, mut f: impl FnMut() -> T) -> Duration {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        criterion::black_box(f());
-        times.push(t0.elapsed());
-    }
-    times.sort();
-    times[times.len() / 2]
 }
 
 fn bench(c: &mut Criterion) {

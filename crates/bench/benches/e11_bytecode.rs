@@ -23,9 +23,8 @@
 //! (where execution, not export lookup, dominates); the counter-churn
 //! speedup is printed alongside as the end-to-end figure.
 
-use std::time::{Duration, Instant};
-
 use criterion::{criterion_group, criterion_main, Criterion};
+use richwasm_bench::median_of;
 use richwasm_bench::workloads::{churn, counter_client, counter_library};
 use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, WasmTier};
 use richwasm_wasm::exec::{Val, WasmLinker};
@@ -48,17 +47,6 @@ fn linker_for(set: &ModuleSet, tier: WasmTier, module: &str) -> (WasmLinker, usi
     let linker = inst.wasm.take().unwrap();
     let idx = linker.instance_by_name(module).unwrap();
     (linker, idx)
-}
-
-fn median_of<T>(samples: usize, mut f: impl FnMut() -> T) -> Duration {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        criterion::black_box(f());
-        times.push(t0.elapsed());
-    }
-    times.sort();
-    times[times.len() / 2]
 }
 
 const BUMPS: usize = 64;

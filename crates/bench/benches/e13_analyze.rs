@@ -16,10 +16,9 @@
 //! * `cold_compile` — the full static pipeline, analysis off, on a
 //!   fresh engine (the baseline the 30% budget is against).
 
-use std::time::{Duration, Instant};
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm_analyze::analyze_module;
+use richwasm_bench::median_of;
 use richwasm_bench::workloads::{
     arith_chain, churn, counter_client, counter_library, ml_tower, stash_client, stash_module,
 };
@@ -40,17 +39,6 @@ fn scenario_sets() -> Vec<ModuleSet> {
         ModuleSet::new().richwasm("chain", arith_chain(64)),
         ModuleSet::new().richwasm("m", churn(50)),
     ]
-}
-
-fn median_of<T>(samples: usize, mut f: impl FnMut() -> T) -> Duration {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        criterion::black_box(f());
-        times.push(t0.elapsed());
-    }
-    times.sort();
-    times[times.len() / 2]
 }
 
 fn bench(c: &mut Criterion) {

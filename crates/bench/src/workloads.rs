@@ -193,6 +193,41 @@ pub fn churn(n: u32) -> Module {
     }
 }
 
+/// A RichWasm module whose export runs a loop of `iters` iterations and
+/// returns `iters`. Each iteration's body is `pad` `nop`s followed by
+/// the counter update — the interpreter's per-step cost workload: with
+/// the counter's steps fixed, a step should cost the same at any `pad`.
+pub fn padded_loop(pad: usize, iters: u32) -> Module {
+    let i32t = Type::num(NumType::I32);
+    let mut body = vec![Instr::Nop; pad];
+    body.extend([
+        Instr::GetLocal(0, Qual::Unr),
+        Instr::i32(1),
+        Instr::Num(NumInstr::IntBinop(NumType::I32, instr::IntBinop::Add)),
+        Instr::TeeLocal(0),
+        Instr::i32(iters as i32),
+        Instr::Num(NumInstr::IntRelop(
+            NumType::I32,
+            instr::IntRelop::Lt(instr::Sign::S),
+        )),
+        Instr::BrIf(0),
+    ]);
+    Module {
+        funcs: vec![Func::Defined {
+            exports: vec!["main".into()],
+            ty: FunType::mono(vec![], vec![i32t]),
+            locals: vec![Size::Const(32)],
+            body: vec![
+                Instr::i32(0),
+                Instr::SetLocal(0),
+                Instr::LoopI(ArrowType::new(vec![], vec![]), body),
+                Instr::GetLocal(0, Qual::Unr),
+            ],
+        }],
+        ..Module::default()
+    }
+}
+
 /// The Fig. 9 counter library (L3 side).
 pub fn counter_library() -> L3Module {
     let v = |x: &str| Box::new(L3Expr::Var(x.into()));

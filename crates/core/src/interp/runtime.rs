@@ -23,7 +23,8 @@ use crate::typecheck::check_module;
 pub struct RuntimeConfig {
     /// Maximum reduction steps per invocation.
     pub fuel: u64,
-    /// Run a collection every `n` steps (`None` = only on [`Runtime::gc`]).
+    /// Run a collection every `n` steps. `None` or `Some(0)` = never
+    /// automatically, only on [`Runtime::gc`].
     pub auto_gc_every: Option<u64>,
     /// Re-type-check every module at instantiation (on by default; the
     /// paper's workflow always checks compiled modules).
@@ -385,9 +386,13 @@ impl Runtime {
         self.run(&mut cfg)
     }
 
-    /// Drives a configuration to completion (fuel-bounded).
+    /// Drives a configuration to completion (fuel-bounded), collecting
+    /// after every `auto_gc_every`-th step.
     pub fn run(&mut self, cfg: &mut Config) -> Result<InvokeResult, RuntimeError> {
         let mut steps = 0u64;
+        let gc_every = self.config.auto_gc_every.unwrap_or(0);
+        // Steps left until the next collection; stays 0 when there is none.
+        let mut until_gc = gc_every;
         loop {
             if steps >= self.config.fuel {
                 return Err(RuntimeError::OutOfFuel);
@@ -395,9 +400,11 @@ impl Runtime {
             match step_config(&mut self.store, &self.modules, &self.hosts, cfg)? {
                 Outcome::Stepped => {
                     steps += 1;
-                    if let Some(n) = self.config.auto_gc_every {
-                        if steps % n == 0 {
+                    if until_gc != 0 {
+                        until_gc -= 1;
+                        if until_gc == 0 {
                             collect(&mut self.store, Some(cfg));
+                            until_gc = gc_every;
                         }
                     }
                 }

@@ -4,6 +4,12 @@
 //! time. Evaluation descends through `label`/`local` contexts (the
 //! paper's `L^k`); `br`/`return` propagate outward carrying their value
 //! prefix; traps normalise the enclosing sequence.
+//!
+//! A step costs its redex and the depth of its context, not the size of
+//! the code around it (DESIGN.md §3): it renders nothing unless it is
+//! stuck, copies only code the rule duplicates (a loop body per
+//! iteration), and keeps frame bodies last instruction first so that it
+//! never shifts the code after its redex.
 
 use std::sync::Arc;
 
@@ -23,7 +29,7 @@ pub struct Config {
     pub inst: u32,
     /// Local slot values and sizes of the outermost frame.
     pub locals: Vec<(Value, Size)>,
-    /// The instruction sequence under reduction.
+    /// The instruction sequence under reduction, in program order.
     pub instrs: Vec<Instr>,
     /// Human-readable reason of the most recent trap, if any.
     pub trap_reason: Option<String>,
@@ -89,7 +95,7 @@ enum SeqOut {
 ///
 /// Returns [`RuntimeError::Stuck`] when no rule applies — for well-typed
 /// programs this never happens (progress), and the soundness property
-/// tests rely on that.
+/// tests rely on that. A stuck step leaves `cfg` as it was.
 pub fn step_config(
     store: &mut Store,
     modules: &[Arc<Module>],
@@ -98,6 +104,10 @@ pub fn step_config(
 ) -> Result<Outcome, RuntimeError> {
     let mut note = None;
     let inst = cfg.inst;
+    // `cfg.instrs` is in program order; sequences are reduced last-first
+    // (see `step_seq`). The top level is short: a call's code lives in
+    // its `local` frame.
+    cfg.instrs.reverse();
     let r = step_seq(
         store,
         modules,
@@ -107,6 +117,7 @@ pub fn step_config(
         &mut cfg.instrs,
         &mut note,
     );
+    cfg.instrs.reverse();
     if let Some(n) = note {
         cfg.trap_reason = Some(n);
     }
@@ -131,15 +142,24 @@ fn all_values(es: &[Instr]) -> bool {
     es.iter().all(is_value)
 }
 
-fn take_values(es: &[Instr]) -> Vec<Value> {
+/// Copies the values of a last-first sequence of values, in program
+/// order.
+fn copy_values(es: &[Instr]) -> Vec<Value> {
     es.iter()
+        .rev()
         .map(|e| match e {
             Instr::Val(v) => v.clone(),
-            _ => unreachable!("take_values on non-value"),
+            _ => unreachable!("copy_values on non-value"),
         })
         .collect()
 }
 
+/// Takes one step of the sequence `instrs`, which is stored **last
+/// instruction first**, like the bodies of `label` and `local` frames
+/// (see [`Instr::Label`]). The redex `r` is the last non-value; its
+/// operands follow it, top of stack first, and the code still to run
+/// precedes it. A step therefore rewrites only the redex and the values
+/// behind it, and never moves the rest of the code, however long.
 #[allow(clippy::too_many_lines)]
 fn step_seq(
     store: &mut Store,
@@ -150,12 +170,12 @@ fn step_seq(
     instrs: &mut Vec<Instr>,
     note: &mut Option<String>,
 ) -> Result<SeqOut, RuntimeError> {
-    let Some(k) = instrs.iter().position(|e| !is_value(e)) else {
+    let Some(r) = instrs.iter().rposition(|e| !is_value(e)) else {
         return Ok(SeqOut::Done);
     };
 
     // Trap normalisation: `v* trap e* ↩ trap`.
-    if matches!(instrs[k], Instr::Trap) {
+    if matches!(instrs[r], Instr::Trap) {
         if instrs.len() == 1 {
             return Ok(SeqOut::TrapNow);
         }
@@ -165,34 +185,36 @@ fn step_seq(
     }
 
     // Control frames: descend.
-    if let Instr::Label { arity, cont, body } = &mut instrs[k] {
+    if let Instr::Label { arity, body, .. } = &mut instrs[r] {
         if all_values(body) {
-            let vals = take_values(body);
-            let repl: Vec<Instr> = vals.into_iter().map(Instr::Val).collect();
-            instrs.splice(k..=k, repl);
+            let vals = std::mem::take(body);
+            instrs.splice(r..=r, vals);
             return Ok(SeqOut::Stepped);
         }
         if body.len() == 1 && matches!(body[0], Instr::Trap) {
-            instrs[k] = Instr::Trap;
+            instrs[r] = Instr::Trap;
             return Ok(SeqOut::Stepped);
         }
-        let arity = *arity;
-        let cont = cont.clone();
+        let arity = *arity as usize;
         return match step_seq(store, modules, hosts, inst, locals, body, note)? {
             SeqOut::Stepped => Ok(SeqOut::Stepped),
             SeqOut::TrapNow => {
-                instrs[k] = Instr::Trap;
+                instrs[r] = Instr::Trap;
                 Ok(SeqOut::Stepped)
             }
             SeqOut::Br(0, vals) => {
-                let n = arity as usize;
-                if vals.len() < n {
+                if vals.len() < arity {
                     return Err(RuntimeError::stuck("br carries too few values"));
                 }
-                let keep = vals[vals.len() - n..].to_vec();
-                let mut repl: Vec<Instr> = keep.into_iter().map(Instr::Val).collect();
-                repl.extend(cont);
-                instrs.splice(k..=k, repl);
+                // The branch consumes the label, so its continuation (for
+                // a loop, the loop itself) moves out rather than being
+                // copied.
+                let Instr::Label { cont, .. } = take_redex(instrs, r) else {
+                    unreachable!("descended into a label")
+                };
+                let dropped = vals.len() - arity;
+                let keep = vals.into_iter().skip(dropped).map(Instr::Val);
+                reduce(instrs, r, 0, keep.chain(cont));
                 Ok(SeqOut::Stepped)
             }
             SeqOut::Br(j, vals) => Ok(SeqOut::Br(j - 1, vals)),
@@ -201,49 +223,32 @@ fn step_seq(
         };
     }
 
-    if matches!(instrs[k], Instr::LocalFrame { .. }) {
-        let (arity, fi) = {
-            let Instr::LocalFrame {
-                arity,
-                inst: fi,
-                body,
-                ..
-            } = &instrs[k]
-            else {
-                unreachable!()
-            };
-            if all_values(body) {
-                if body.len() != *arity as usize {
-                    return Err(RuntimeError::stuck(
-                        "function returned wrong number of values",
-                    ));
-                }
-                let vals = take_values(body);
-                let repl: Vec<Instr> = vals.into_iter().map(Instr::Val).collect();
-                instrs.splice(k..=k, repl);
-                return Ok(SeqOut::Stepped);
+    if let Instr::LocalFrame {
+        arity,
+        inst: fi,
+        locals: flocals,
+        body,
+    } = &mut instrs[r]
+    {
+        let arity = *arity as usize;
+        if all_values(body) {
+            if body.len() != arity {
+                return Err(RuntimeError::stuck(
+                    "function returned wrong number of values",
+                ));
             }
-            if body.len() == 1 && matches!(body[0], Instr::Trap) {
-                instrs[k] = Instr::Trap;
-                return Ok(SeqOut::Stepped);
-            }
-            (*arity as usize, *fi)
-        };
-        let r = {
-            let Instr::LocalFrame {
-                locals: flocals,
-                body,
-                ..
-            } = &mut instrs[k]
-            else {
-                unreachable!()
-            };
-            step_seq(store, modules, hosts, fi, flocals, body, note)?
-        };
-        return match r {
+            let vals = std::mem::take(body);
+            instrs.splice(r..=r, vals);
+            return Ok(SeqOut::Stepped);
+        }
+        if body.len() == 1 && matches!(body[0], Instr::Trap) {
+            instrs[r] = Instr::Trap;
+            return Ok(SeqOut::Stepped);
+        }
+        return match step_seq(store, modules, hosts, *fi, flocals, body, note)? {
             SeqOut::Stepped => Ok(SeqOut::Stepped),
             SeqOut::TrapNow => {
-                instrs[k] = Instr::Trap;
+                instrs[r] = Instr::Trap;
                 Ok(SeqOut::Stepped)
             }
             SeqOut::Br(..) => Err(RuntimeError::stuck("br escaped a function body")),
@@ -251,9 +256,8 @@ fn step_seq(
                 if vals.len() < arity {
                     return Err(RuntimeError::stuck("return carries too few values"));
                 }
-                let keep = vals[vals.len() - arity..].to_vec();
-                let repl: Vec<Instr> = keep.into_iter().map(Instr::Val).collect();
-                instrs.splice(k..=k, repl);
+                let dropped = vals.len() - arity;
+                reduce(instrs, r, 0, vals.into_iter().skip(dropped).map(Instr::Val));
                 Ok(SeqOut::Stepped)
             }
             SeqOut::Done => unreachable!("body had a non-value instruction"),
@@ -261,46 +265,25 @@ fn step_seq(
     }
 
     // Branches and returns collect their value prefix and propagate.
-    match &instrs[k] {
+    match &instrs[r] {
         Instr::Br(j) => {
             let j = *j;
-            let vals = take_values(&instrs[..k]);
+            let vals = copy_values(&instrs[r + 1..]);
             return Ok(SeqOut::Br(j, vals));
         }
         Instr::Return => {
-            let vals = take_values(&instrs[..k]);
+            let vals = copy_values(&instrs[r + 1..]);
             return Ok(SeqOut::Ret(vals));
         }
         _ => {}
     }
 
     // Everything else is a primitive redex consuming `n` values directly
-    // before position `k`.
-    let e = instrs[k].clone();
-    let e_str = e.to_string();
-    let prefix = k; // number of values available
-    let consume_and_replace =
-        move |instrs: &mut Vec<Instr>, n: usize, repl: Vec<Instr>| -> Result<(), RuntimeError> {
-            if prefix < n {
-                return Err(RuntimeError::stuck(format!(
-                    "instruction {e_str} needs {n} operands, has {prefix}"
-                )));
-            }
-            instrs.splice(k - n..=k, repl);
-            Ok(())
-        };
-    let val = |instrs: &Vec<Instr>, back: usize| -> Value {
-        match &instrs[k - back] {
-            Instr::Val(v) => v.clone(),
-            _ => unreachable!("prefix is values"),
-        }
-    };
-    let trap = |instrs: &mut Vec<Instr>, n: usize, note: &mut Option<String>, why: String| {
-        *note = Some(why);
-        instrs.splice(k - n..=k, [Instr::Trap]);
-    };
-
-    match e {
+    // before it. Each rule checks its operands and side conditions in
+    // place, then moves what it keeps out of the sequence and splices the
+    // result over the redex, so a stuck step leaves the configuration as
+    // it was and a step copies only what it duplicates.
+    match &instrs[r] {
         Instr::Val(_)
         | Instr::Label { .. }
         | Instr::LocalFrame { .. }
@@ -308,234 +291,215 @@ fn step_seq(
         | Instr::Br(_)
         | Instr::Return => unreachable!("handled above"),
 
-        Instr::Nop => consume_and_replace(instrs, 0, vec![])?,
+        // Type-level instructions are computationally irrelevant.
+        Instr::Nop | Instr::Qualify(_) | Instr::RefDemote => reduce(instrs, r, 0, []),
         Instr::Unreachable => {
             *note = Some("unreachable executed".into());
-            consume_and_replace(instrs, 0, vec![Instr::Trap])?;
+            instrs[r] = Instr::Trap;
         }
-        Instr::Drop => consume_and_replace(instrs, 1, vec![])?,
+        Instr::Drop => {
+            need(instrs, r, 1)?;
+            reduce(instrs, r, 1, []);
+        }
         Instr::Select => {
-            let c = val(instrs, 1)
+            need(instrs, r, 3)?;
+            let c = val(instrs, r, 1)
                 .as_i32()
                 .ok_or_else(|| RuntimeError::stuck("select condition not i32"))?;
-            let v2 = val(instrs, 2);
-            let v1 = val(instrs, 3);
-            let keep = if c != 0 { v1 } else { v2 };
-            consume_and_replace(instrs, 3, vec![Instr::Val(keep)])?;
+            let keep = take_val(instrs, r, if c != 0 { 3 } else { 2 });
+            reduce(instrs, r, 3, [Instr::Val(keep)]);
         }
         Instr::Num(n) => {
+            let n = *n;
             let a = num::arity(n);
-            let mut ops = Vec::with_capacity(a);
-            for i in (1..=a).rev() {
-                ops.push(val(instrs, i));
-            }
-            match num::eval(n, &ops) {
-                Ok(v) => consume_and_replace(instrs, a, vec![Instr::Val(v)])?,
-                Err(RuntimeError::Trap { reason }) => trap(instrs, a, note, reason),
+            need(instrs, r, a)?;
+            // Deepest operand first; `a` is 1 or 2.
+            let ops: [Value; 2] = std::array::from_fn(|i| {
+                if i < a {
+                    val(instrs, r, a - i).clone()
+                } else {
+                    Value::Unit
+                }
+            });
+            match num::eval(n, &ops[..a]) {
+                Ok(v) => reduce(instrs, r, a, [Instr::Val(v)]),
+                Err(RuntimeError::Trap { reason }) => trap(instrs, r, a, note, reason),
                 Err(other) => return Err(other),
             }
         }
-        Instr::BlockI(b, body) => {
-            let n = b.arrow.params.len();
-            let arity = b.arrow.results.len() as u32;
-            let mut inner: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 1)))
-                .collect();
-            inner.extend(body);
-            consume_and_replace(
-                instrs,
-                n,
-                vec![Instr::Label {
-                    arity,
-                    cont: vec![],
-                    body: inner,
-                }],
-            )?;
+        Instr::BlockI(b, _) => {
+            let (n, arity) = (b.arrow.params.len(), b.arrow.results.len() as u32);
+            need(instrs, r, n)?;
+            let Instr::BlockI(_, body) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
+            let body = label_body(instrs, r, 1, n, None, body);
+            reduce(instrs, r, n, [label(arity, vec![], body)]);
         }
-        Instr::LoopI(arrow, body) => {
+        Instr::LoopI(arrow, _) => {
             let n = arrow.params.len();
-            let arity = n as u32; // a br to a loop label re-enters with the params
-            let this_loop = Instr::LoopI(arrow, body.clone());
-            let mut inner: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 1)))
-                .collect();
-            inner.extend(body);
-            consume_and_replace(
-                instrs,
-                n,
-                vec![Instr::Label {
-                    arity,
-                    cont: vec![this_loop],
-                    body: inner,
-                }],
-            )?;
+            need(instrs, r, n)?;
+            let Instr::LoopI(arrow, body) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
+            // The label's body is the iteration's one copy of the loop
+            // body; the loop itself moves into the continuation, which a
+            // br to the label (re-entering with the params) consumes.
+            let inner = label_body(instrs, r, 1, n, None, body.clone());
+            let cont = vec![Instr::LoopI(arrow, body)];
+            reduce(instrs, r, n, [label(n as u32, cont, inner)]);
         }
-        Instr::IfI(b, then_b, else_b) => {
-            let c = val(instrs, 1)
+        Instr::IfI(b, ..) => {
+            let (n, arity) = (b.arrow.params.len(), b.arrow.results.len() as u32);
+            need(instrs, r, n + 1)?;
+            let c = val(instrs, r, 1)
                 .as_i32()
                 .ok_or_else(|| RuntimeError::stuck("if condition not i32"))?;
-            let n = b.arrow.params.len();
-            let arity = b.arrow.results.len() as u32;
+            let Instr::IfI(_, then_b, else_b) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
             let chosen = if c != 0 { then_b } else { else_b };
-            let mut inner: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 2)))
-                .collect();
-            inner.extend(chosen);
-            consume_and_replace(
-                instrs,
-                n + 1,
-                vec![Instr::Label {
-                    arity,
-                    cont: vec![],
-                    body: inner,
-                }],
-            )?;
+            let body = label_body(instrs, r, 2, n, None, chosen);
+            reduce(instrs, r, n + 1, [label(arity, vec![], body)]);
         }
         Instr::BrIf(j) => {
-            let c = val(instrs, 1)
+            let j = *j;
+            need(instrs, r, 1)?;
+            let c = val(instrs, r, 1)
                 .as_i32()
                 .ok_or_else(|| RuntimeError::stuck("br_if condition not i32"))?;
-            let repl = if c != 0 { vec![Instr::Br(j)] } else { vec![] };
-            consume_and_replace(instrs, 1, repl)?;
+            reduce(instrs, r, 1, (c != 0).then_some(Instr::Br(j)));
         }
         Instr::BrTable(targets, default) => {
-            let c = val(instrs, 1)
+            need(instrs, r, 1)?;
+            let c = val(instrs, r, 1)
                 .as_i32()
                 .ok_or_else(|| RuntimeError::stuck("br_table index not i32"))?;
-            let t = targets.get(c as usize).copied().unwrap_or(default);
-            consume_and_replace(instrs, 1, vec![Instr::Br(t)])?;
+            let t = targets.get(c as usize).copied().unwrap_or(*default);
+            reduce(instrs, r, 1, [Instr::Br(t)]);
         }
         Instr::GetLocal(i, q) => {
-            let (v, _) = locals
-                .get(i as usize)
-                .cloned()
+            let (i, q) = (*i, *q);
+            let (slot, _) = locals
+                .get_mut(i as usize)
                 .ok_or_else(|| RuntimeError::stuck(format!("get_local {i}: no such slot")))?;
-            if !matches!(q, Qual::Unr) {
+            let v = if matches!(q, Qual::Unr) {
+                slot.clone()
+            } else {
                 // Linear read: strongly update the slot to unit (§2.1).
-                locals[i as usize].0 = Value::Unit;
-            }
-            consume_and_replace(instrs, 0, vec![Instr::Val(v)])?;
+                std::mem::replace(slot, Value::Unit)
+            };
+            instrs[r] = Instr::Val(v);
         }
         Instr::SetLocal(i) => {
-            let v = val(instrs, 1);
-            if locals.len() <= i as usize {
-                return Err(RuntimeError::stuck(format!("set_local {i}: no such slot")));
-            }
-            locals[i as usize].0 = v;
-            consume_and_replace(instrs, 1, vec![])?;
+            let i = *i;
+            need(instrs, r, 1)?;
+            let (slot, _) = locals
+                .get_mut(i as usize)
+                .ok_or_else(|| RuntimeError::stuck(format!("set_local {i}: no such slot")))?;
+            *slot = take_val(instrs, r, 1);
+            reduce(instrs, r, 1, []);
         }
         Instr::TeeLocal(i) => {
-            let v = val(instrs, 1);
-            if locals.len() <= i as usize {
-                return Err(RuntimeError::stuck(format!("tee_local {i}: no such slot")));
-            }
-            locals[i as usize].0 = v.clone();
-            consume_and_replace(instrs, 1, vec![Instr::Val(v)])?;
+            let i = *i;
+            need(instrs, r, 1)?;
+            let (slot, _) = locals
+                .get_mut(i as usize)
+                .ok_or_else(|| RuntimeError::stuck(format!("tee_local {i}: no such slot")))?;
+            *slot = val(instrs, r, 1).clone();
+            // The value stays on the stack.
+            reduce(instrs, r, 0, []);
         }
         Instr::GetGlobal(i) => {
+            let i = *i;
             let v = store
                 .insts
                 .get(inst as usize)
                 .and_then(|m| m.globals.get(i as usize))
                 .cloned()
                 .ok_or_else(|| RuntimeError::stuck(format!("get_global {i}: no such global")))?;
-            consume_and_replace(instrs, 0, vec![Instr::Val(v)])?;
+            instrs[r] = Instr::Val(v);
         }
         Instr::SetGlobal(i) => {
-            let v = val(instrs, 1);
+            let i = *i;
+            need(instrs, r, 1)?;
             let slot = store
                 .insts
                 .get_mut(inst as usize)
                 .and_then(|m| m.globals.get_mut(i as usize))
                 .ok_or_else(|| RuntimeError::stuck(format!("set_global {i}: no such global")))?;
-            *slot = v;
-            consume_and_replace(instrs, 1, vec![])?;
+            *slot = take_val(instrs, r, 1);
+            reduce(instrs, r, 1, []);
         }
-        // Type-level instructions are computationally irrelevant.
-        Instr::Qualify(_) | Instr::RefDemote => consume_and_replace(instrs, 0, vec![])?,
         Instr::CodeRefI(i) => {
-            consume_and_replace(
-                instrs,
-                0,
-                vec![Instr::Val(Value::CodeRef {
-                    inst,
-                    table_idx: i,
-                    indices: vec![],
-                })],
-            )?;
+            instrs[r] = Instr::Val(Value::CodeRef {
+                inst,
+                table_idx: *i,
+                indices: vec![],
+            });
         }
-        Instr::Inst(zs) => {
-            let v = val(instrs, 1);
-            let Value::CodeRef {
-                inst: ci,
-                table_idx,
-                mut indices,
-            } = v
+        Instr::Inst(_) => {
+            need(instrs, r, 1)?;
+            let (code, ops) = instrs.split_at_mut(r + 1);
+            let (Instr::Inst(zs), Instr::Val(Value::CodeRef { indices, .. })) =
+                (&mut code[r], &mut ops[0])
             else {
                 return Err(RuntimeError::stuck("inst on non-coderef"));
             };
-            indices.extend(zs);
-            consume_and_replace(
-                instrs,
-                1,
-                vec![Instr::Val(Value::CodeRef {
-                    inst: ci,
-                    table_idx,
-                    indices,
-                })],
-            )?;
+            indices.append(zs);
+            reduce(instrs, r, 0, []);
         }
         Instr::CallIndirect => {
-            let v = val(instrs, 1);
-            let Value::CodeRef {
+            need(instrs, r, 1)?;
+            let Instr::Val(Value::CodeRef {
                 inst: ci,
                 table_idx,
                 indices,
-            } = v
+            }) = &mut instrs[r + 1]
             else {
                 return Err(RuntimeError::stuck("call_indirect on non-coderef"));
             };
             let cl = store
                 .insts
-                .get(ci as usize)
-                .and_then(|m| m.table.get(table_idx as usize))
+                .get(*ci as usize)
+                .and_then(|m| m.table.get(*table_idx as usize))
                 .copied()
                 .ok_or_else(|| RuntimeError::stuck("call_indirect: bad table entry"))?;
-            consume_and_replace(
+            let indices = std::mem::take(indices);
+            reduce(
                 instrs,
+                r,
                 1,
-                vec![Instr::CallAdmin {
+                [Instr::CallAdmin {
                     inst: cl.inst,
                     func: cl.func,
                     indices,
                 }],
-            )?;
+            );
         }
-        Instr::Call(j, zs) => {
+        Instr::Call(j, _) => {
+            let j = *j;
             let cl: Closure = store
                 .insts
                 .get(inst as usize)
                 .and_then(|m| m.funcs.get(j as usize))
                 .copied()
                 .ok_or_else(|| RuntimeError::stuck(format!("call {j}: no such function")))?;
-            consume_and_replace(
-                instrs,
-                0,
-                vec![Instr::CallAdmin {
-                    inst: cl.inst,
-                    func: cl.func,
-                    indices: zs,
-                }],
-            )?;
+            let Instr::Call(_, indices) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
+            instrs[r] = Instr::CallAdmin {
+                inst: cl.inst,
+                func: cl.func,
+                indices,
+            };
         }
         Instr::CallAdmin {
             inst: ci,
             func: fi,
             indices,
         } => {
+            let (ci, fi) = (*ci, *fi);
             // Host interception: a call whose closure targets a registered
             // host function runs the Rust closure instead of a RichWasm
             // body. This sits on the `call` administrative step, so every
@@ -548,13 +512,10 @@ fn step_seq(
                     ));
                 }
                 let n = h.ty.arrow.params.len();
-                if prefix < n {
+                if operands(instrs, r) < n {
                     return Err(RuntimeError::stuck("host call with too few arguments"));
                 }
-                let mut args = Vec::with_capacity(n);
-                for i in (1..=n).rev() {
-                    args.push(val(instrs, i));
-                }
+                let args: Vec<Value> = take_vals(instrs, r, 1, n).collect();
                 match (h.imp)(&args) {
                     Ok(vals) => {
                         // The host lives outside the checked world: re-check
@@ -565,6 +526,7 @@ fn step_seq(
                         if vals.len() != h.ty.arrow.results.len() {
                             trap(
                                 instrs,
+                                r,
                                 n,
                                 note,
                                 format!(
@@ -581,19 +543,16 @@ fn step_seq(
                         {
                             trap(
                                 instrs,
+                                r,
                                 n,
                                 note,
                                 format!("host function error: returned {v}, its type declares {t}"),
                             );
                         } else {
-                            consume_and_replace(
-                                instrs,
-                                n,
-                                vals.into_iter().map(Instr::Val).collect(),
-                            )?;
+                            reduce(instrs, r, n, vals.into_iter().map(Instr::Val));
                         }
                     }
-                    Err(msg) => trap(instrs, n, note, format!("host function error: {msg}")),
+                    Err(msg) => trap(instrs, r, n, note, format!("host function error: {msg}")),
                 }
                 return Ok(SeqOut::Stepped);
             }
@@ -614,156 +573,154 @@ fn step_seq(
                 });
             };
             let env =
-                SubstEnv::for_instantiation(&ty.quants, &indices).map_err(RuntimeError::stuck)?;
+                SubstEnv::for_instantiation(&ty.quants, indices).map_err(RuntimeError::stuck)?;
             let n = ty.arrow.params.len();
-            if prefix < n {
+            if operands(instrs, r) < n {
                 return Err(RuntimeError::stuck("call with too few arguments"));
             }
             let mut frame_locals: Vec<(Value, Size)> = Vec::with_capacity(n + lsizes.len());
-            for i in (1..=n).rev() {
-                let v = val(instrs, i);
-                let pty = subst_type(&ty.arrow.params[n - i], &env);
+            for (v, pty) in take_vals(instrs, r, 1, n).zip(&ty.arrow.params) {
+                let pty = subst_type(pty, &env);
                 let size = size_of_type(&crate::env::KindCtx::new(), &pty)
                     .unwrap_or(Size::Const(size_of_value(&v)));
                 frame_locals.push((v, size));
             }
-            for sz in lsizes {
-                frame_locals.push((Value::Unit, subst_size(sz, &env)));
-            }
-            let body = subst_instrs(body, &env);
-            let arity = ty.arrow.results.len() as u32;
-            consume_and_replace(
-                instrs,
-                n,
-                vec![Instr::LocalFrame {
-                    arity,
-                    inst: ci,
-                    locals: frame_locals,
-                    body,
-                }],
-            )?;
+            frame_locals.extend(lsizes.iter().map(|sz| (Value::Unit, subst_size(sz, &env))));
+            let mut body = subst_instrs(body, &env);
+            body.reverse();
+            let frame = Instr::LocalFrame {
+                arity: ty.arrow.results.len() as u32,
+                inst: ci,
+                locals: frame_locals,
+                body,
+            };
+            reduce(instrs, r, n, [frame]);
         }
         Instr::RecFold(_) => {
-            let v = val(instrs, 1);
-            consume_and_replace(instrs, 1, vec![Instr::Val(Value::Fold(Box::new(v)))])?;
+            need(instrs, r, 1)?;
+            let v = take_val(instrs, r, 1);
+            reduce(instrs, r, 1, [Instr::Val(Value::Fold(Box::new(v)))]);
         }
         Instr::RecUnfold => {
-            let v = val(instrs, 1);
-            let Value::Fold(inner) = v else {
+            need(instrs, r, 1)?;
+            let Instr::Val(Value::Fold(inner)) = &mut instrs[r + 1] else {
                 return Err(RuntimeError::stuck("rec.unfold on non-fold"));
             };
-            consume_and_replace(instrs, 1, vec![Instr::Val(*inner)])?;
+            let v = std::mem::replace(&mut **inner, Value::Unit);
+            reduce(instrs, r, 1, [Instr::Val(v)]);
         }
         Instr::MemPack(l) => {
-            let v = val(instrs, 1);
-            let Loc::Concrete(cl) = l else {
+            need(instrs, r, 1)?;
+            let Loc::Concrete(cl) = *l else {
                 return Err(RuntimeError::stuck(
                     "mem.pack of an abstract location at runtime",
                 ));
             };
-            consume_and_replace(instrs, 1, vec![Instr::Val(Value::MemPack(cl, Box::new(v)))])?;
+            let v = take_val(instrs, r, 1);
+            reduce(instrs, r, 1, [Instr::Val(Value::MemPack(cl, Box::new(v)))]);
         }
         Instr::MemUnpack(b, body) => {
-            let pkg = val(instrs, 1);
-            let Value::MemPack(cl, inner) = pkg else {
+            let (n, arity) = (b.arrow.params.len(), b.arrow.results.len() as u32);
+            need(instrs, r, n + 1)?;
+            let Value::MemPack(cl, _) = *val(instrs, r, 1) else {
                 return Err(RuntimeError::stuck("mem.unpack on non-package"));
             };
-            let n = b.arrow.params.len();
-            let arity = b.arrow.results.len() as u32;
-            let opened = subst_instrs(&body, &SubstEnv::loc(Loc::Concrete(cl)));
-            let mut seq: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 2)))
-                .collect();
-            seq.push(Instr::Val(*inner));
-            seq.extend(opened);
-            consume_and_replace(
-                instrs,
-                n + 1,
-                vec![Instr::Label {
-                    arity,
-                    cont: vec![],
-                    body: seq,
-                }],
-            )?;
+            let opened = subst_instrs(body, &SubstEnv::loc(Loc::Concrete(cl)));
+            let Value::MemPack(_, inner) = take_val(instrs, r, 1) else {
+                unreachable!("checked above")
+            };
+            let body = label_body(instrs, r, 2, n, Some(*inner), opened);
+            reduce(instrs, r, n + 1, [label(arity, vec![], body)]);
         }
         Instr::Group(n, _) => {
-            let n = n as usize;
-            // back = n is the deepest operand, so this is bottom → top.
-            let vs: Vec<Value> = (1..=n).rev().map(|i| val(instrs, i)).collect();
-            consume_and_replace(instrs, n, vec![Instr::Val(Value::Prod(vs))])?;
+            let n = *n as usize;
+            need(instrs, r, n)?;
+            let vs = take_vals(instrs, r, 1, n).collect();
+            reduce(instrs, r, n, [Instr::Val(Value::Prod(vs))]);
         }
         Instr::Ungroup => {
-            let v = val(instrs, 1);
-            let Value::Prod(vs) = v else {
+            need(instrs, r, 1)?;
+            let Instr::Val(Value::Prod(vs)) = &mut instrs[r + 1] else {
                 return Err(RuntimeError::stuck("seq.ungroup on non-tuple"));
             };
-            consume_and_replace(instrs, 1, vs.into_iter().map(Instr::Val).collect())?;
+            let vs = std::mem::take(vs);
+            reduce(instrs, r, 1, vs.into_iter().map(Instr::Val));
         }
         Instr::CapSplit => {
-            let _cap = val(instrs, 1);
-            consume_and_replace(
+            need(instrs, r, 1)?;
+            reduce(
                 instrs,
+                r,
                 1,
-                vec![Instr::Val(Value::Cap), Instr::Val(Value::Own)],
-            )?;
+                [Instr::Val(Value::Cap), Instr::Val(Value::Own)],
+            );
         }
         Instr::CapJoin => {
-            consume_and_replace(instrs, 2, vec![Instr::Val(Value::Cap)])?;
+            need(instrs, r, 2)?;
+            reduce(instrs, r, 2, [Instr::Val(Value::Cap)]);
         }
         Instr::RefSplit => {
-            let v = val(instrs, 1);
-            let Value::Ref(l) = v else {
+            need(instrs, r, 1)?;
+            let Value::Ref(l) = *val(instrs, r, 1) else {
                 return Err(RuntimeError::stuck("ref.split on non-ref"));
             };
-            consume_and_replace(
+            reduce(
                 instrs,
+                r,
                 1,
-                vec![Instr::Val(Value::Cap), Instr::Val(Value::Ptr(l))],
-            )?;
+                [Instr::Val(Value::Cap), Instr::Val(Value::Ptr(l))],
+            );
         }
         Instr::RefJoin => {
-            let p = val(instrs, 1);
-            let Value::Ptr(l) = p else {
+            need(instrs, r, 2)?;
+            let Value::Ptr(l) = *val(instrs, r, 1) else {
                 return Err(RuntimeError::stuck("ref.join: top of stack not a pointer"));
             };
-            consume_and_replace(instrs, 2, vec![Instr::Val(Value::Ref(l))])?;
+            reduce(instrs, r, 2, [Instr::Val(Value::Ref(l))]);
         }
         Instr::StructMalloc(szs, q) => {
-            let n = szs.len();
-            let mut vs: Vec<Value> = (1..=n).map(|i| val(instrs, i)).collect();
-            vs.reverse();
+            let (n, q) = (szs.len(), *q);
+            need(instrs, r, n)?;
             let total: u64 = szs.iter().map(|s| s.eval_closed().unwrap_or(0)).sum();
-            let hv = HeapValue::Struct(vs);
-            consume_and_replace(
+            let hv = HeapValue::Struct(take_vals(instrs, r, 1, n).collect());
+            reduce(
                 instrs,
+                r,
                 n,
-                vec![Instr::MallocAdmin(Size::Const(total), hv, q)],
-            )?;
+                [Instr::MallocAdmin(Size::Const(total), hv, q)],
+            );
         }
         Instr::VariantMalloc(i, _, q) => {
-            let v = val(instrs, 1);
+            let (i, q) = (*i, *q);
+            need(instrs, r, 1)?;
+            let v = take_val(instrs, r, 1);
             let sz = 32 + size_of_value(&v);
             let hv = HeapValue::Variant(i, Box::new(v));
-            consume_and_replace(instrs, 1, vec![Instr::MallocAdmin(Size::Const(sz), hv, q)])?;
+            reduce(instrs, r, 1, [Instr::MallocAdmin(Size::Const(sz), hv, q)]);
         }
         Instr::ArrayMalloc(q) => {
-            let len = val(instrs, 1)
+            let q = *q;
+            need(instrs, r, 2)?;
+            let len = val(instrs, r, 1)
                 .as_num()
                 .map(|(_, b)| b as u32)
                 .ok_or_else(|| RuntimeError::stuck("array.malloc length not numeric"))?;
-            let fill = val(instrs, 2);
+            let fill = take_val(instrs, r, 2);
             let sz = (len as u64) * size_of_value(&fill);
             let hv = HeapValue::Array(vec![fill; len as usize]);
-            consume_and_replace(instrs, 2, vec![Instr::MallocAdmin(Size::Const(sz), hv, q)])?;
+            reduce(instrs, r, 2, [Instr::MallocAdmin(Size::Const(sz), hv, q)]);
         }
-        Instr::ExistPack(p, psi, q) => {
-            let v = val(instrs, 1);
+        Instr::ExistPack(..) => {
+            need(instrs, r, 1)?;
+            let Instr::ExistPack(p, psi, q) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
+            let v = take_val(instrs, r, 1);
             let sz = 64 + size_of_value(&v);
             let hv = HeapValue::Pack(p, Box::new(v), psi);
-            consume_and_replace(instrs, 1, vec![Instr::MallocAdmin(Size::Const(sz), hv, q)])?;
+            reduce(instrs, r, 1, [Instr::MallocAdmin(Size::Const(sz), hv, q)]);
         }
-        Instr::MallocAdmin(sz, hv, q) => {
+        Instr::MallocAdmin(_, _, q) => {
             let mem = match q {
                 Qual::Lin => Mem::Lin,
                 Qual::Unr => Mem::Unr,
@@ -771,194 +728,164 @@ fn step_seq(
                     return Err(RuntimeError::stuck("malloc with unresolved qualifier"));
                 }
             };
+            let Instr::MallocAdmin(sz, hv, _) = take_redex(instrs, r) else {
+                unreachable!("matched above")
+            };
             let bits = sz.eval_closed().unwrap_or_else(|| size_of_heap_value(&hv));
             let l = store.mem.alloc(mem, hv, bits);
-            consume_and_replace(
-                instrs,
-                0,
-                vec![Instr::Val(Value::MemPack(l, Box::new(Value::Ref(l))))],
-            )?;
+            instrs[r] = Instr::Val(Value::MemPack(l, Box::new(Value::Ref(l))));
         }
-        Instr::StructFree | Instr::ArrayFree => {
-            consume_and_replace(instrs, 0, vec![Instr::Free])?;
-        }
+        Instr::StructFree | Instr::ArrayFree => instrs[r] = Instr::Free,
         Instr::Free => {
-            let v = val(instrs, 1);
-            let Value::Ref(l) = v else {
+            need(instrs, r, 1)?;
+            let Value::Ref(l) = *val(instrs, r, 1) else {
                 return Err(RuntimeError::stuck("free on non-ref"));
             };
             if l.mem != Mem::Lin {
                 trap(
                     instrs,
+                    r,
                     1,
                     note,
                     "free of unrestricted (GC-owned) memory".into(),
                 );
             } else if store.mem.free_lin(l.idx) {
-                consume_and_replace(instrs, 1, vec![])?;
+                reduce(instrs, r, 1, []);
             } else {
                 trap(
                     instrs,
+                    r,
                     1,
                     note,
                     format!("double free / dangling free of {l}"),
                 );
             }
         }
+        // The heap rules below keep their reference operand in place
+        // under the result (Fig. 4), so they rewrite only what lies
+        // above it.
         Instr::StructGet(i) => {
-            let v = val(instrs, 1);
-            let l = ref_loc(&v)?;
-            let cell = read_cell(store, l, note, instrs, 1)?;
-            let Some(cell) = cell else {
+            let i = *i as usize;
+            need(instrs, r, 1)?;
+            let l = ref_loc(val(instrs, r, 1))?;
+            let Some(cell) = store.mem.get(l) else {
+                trap(instrs, r, 1, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Struct(fields) = &cell.hv else {
                 return Err(RuntimeError::stuck("struct.get on non-struct cell"));
             };
             let fv = fields
-                .get(i as usize)
+                .get(i)
                 .cloned()
                 .ok_or_else(|| RuntimeError::stuck("struct.get: field out of range"))?;
-            consume_and_replace(instrs, 1, vec![Instr::Val(Value::Ref(l)), Instr::Val(fv)])?;
+            instrs[r] = Instr::Val(fv);
         }
-        Instr::StructSet(i) => {
-            let newv = val(instrs, 1);
-            let rv = val(instrs, 2);
-            let l = ref_loc(&rv)?;
+        Instr::StructSet(i) | Instr::StructSwap(i) => {
+            let (i, swap) = (*i as usize, matches!(instrs[r], Instr::StructSwap(_)));
+            let what = if swap { "struct.swap" } else { "struct.set" };
+            need(instrs, r, 2)?;
+            let l = ref_loc(val(instrs, r, 2))?;
             let Some(cell) = store.mem.get_mut(l) else {
-                trap(instrs, 2, note, format!("use after free: {l}"));
+                trap(instrs, r, 2, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Struct(fields) = &mut cell.hv else {
-                return Err(RuntimeError::stuck("struct.set on non-struct cell"));
+                return Err(RuntimeError::stuck(format!("{what} on non-struct cell")));
             };
             let slot = fields
-                .get_mut(i as usize)
-                .ok_or_else(|| RuntimeError::stuck("struct.set: field out of range"))?;
-            *slot = newv;
-            consume_and_replace(instrs, 2, vec![Instr::Val(Value::Ref(l))])?;
-        }
-        Instr::StructSwap(i) => {
-            let newv = val(instrs, 1);
-            let rv = val(instrs, 2);
-            let l = ref_loc(&rv)?;
-            let Some(cell) = store.mem.get_mut(l) else {
-                trap(instrs, 2, note, format!("use after free: {l}"));
-                return Ok(SeqOut::Stepped);
-            };
-            let HeapValue::Struct(fields) = &mut cell.hv else {
-                return Err(RuntimeError::stuck("struct.swap on non-struct cell"));
-            };
-            let slot = fields
-                .get_mut(i as usize)
-                .ok_or_else(|| RuntimeError::stuck("struct.swap: field out of range"))?;
-            let old = std::mem::replace(slot, newv);
-            consume_and_replace(instrs, 2, vec![Instr::Val(Value::Ref(l)), Instr::Val(old)])?;
+                .get_mut(i)
+                .ok_or_else(|| RuntimeError::stuck(format!("{what}: field out of range")))?;
+            let old = std::mem::replace(slot, take_val(instrs, r, 1));
+            reduce(instrs, r, 1, swap.then_some(Instr::Val(old)));
         }
         Instr::VariantCase(q, _, b, bodies) => {
-            let n = b.arrow.params.len();
-            let arity = b.arrow.results.len() as u32;
-            let rv = val(instrs, n + 1);
-            let l = ref_loc(&rv)?;
+            let linear = matches!(q, Qual::Lin);
+            let (n, arity) = (b.arrow.params.len(), b.arrow.results.len() as u32);
+            need(instrs, r, n + 1)?;
+            let l = ref_loc(val(instrs, r, n + 1))?;
             let Some(cell) = store.mem.get(l) else {
-                trap(instrs, n + 1, note, format!("use after free: {l}"));
+                trap(instrs, r, n + 1, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Variant(tag, payload) = &cell.hv else {
                 return Err(RuntimeError::stuck("variant.case on non-variant cell"));
             };
             let tag = *tag as usize;
+            if tag >= bodies.len() {
+                return Err(RuntimeError::stuck("variant.case: tag out of range"));
+            }
             let payload = (**payload).clone();
-            let branch = bodies
-                .get(tag)
-                .cloned()
-                .ok_or_else(|| RuntimeError::stuck("variant.case: tag out of range"))?;
-            let mut seq: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 1)))
-                .collect();
-            seq.push(Instr::Val(payload));
-            seq.extend(branch);
-            let label = Instr::Label {
-                arity,
-                cont: vec![],
-                body: seq,
+            let Instr::VariantCase(_, _, _, mut bodies) = take_redex(instrs, r) else {
+                unreachable!("matched above")
             };
-            let linear = matches!(q, Qual::Lin);
-            let repl = if linear {
-                // The reference is consumed and the cell freed (Fig. 4).
-                vec![Instr::Val(Value::Ref(l)), Instr::Free, label]
-            } else {
-                vec![Instr::Val(Value::Ref(l)), label]
-            };
-            consume_and_replace(instrs, n + 1, repl)?;
+            let body = label_body(instrs, r, 1, n, Some(payload), bodies.swap_remove(tag));
+            // A linear case consumes the reference and frees the cell.
+            let free = linear.then_some(Instr::Free);
+            reduce(
+                instrs,
+                r,
+                n,
+                free.into_iter().chain([label(arity, vec![], body)]),
+            );
         }
         Instr::ExistUnpack(q, _, b, body) => {
-            let n = b.arrow.params.len();
-            let arity = b.arrow.results.len() as u32;
-            let rv = val(instrs, n + 1);
-            let l = ref_loc(&rv)?;
+            let linear = matches!(q, Qual::Lin);
+            let (n, arity) = (b.arrow.params.len(), b.arrow.results.len() as u32);
+            need(instrs, r, n + 1)?;
+            let l = ref_loc(val(instrs, r, n + 1))?;
             let Some(cell) = store.mem.get(l) else {
-                trap(instrs, n + 1, note, format!("use after free: {l}"));
+                trap(instrs, r, n + 1, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Pack(p, inner, _) = &cell.hv else {
                 return Err(RuntimeError::stuck("exist.unpack on non-package cell"));
             };
-            let p = p.clone();
-            let inner = (**inner).clone();
-            let opened = subst_instrs(&body, &SubstEnv::pretype(p));
-            let mut seq: Vec<Instr> = (0..n)
-                .rev()
-                .map(|i| Instr::Val(val(instrs, i + 1)))
-                .collect();
-            seq.push(Instr::Val(inner));
-            seq.extend(opened);
-            let label = Instr::Label {
-                arity,
-                cont: vec![],
-                body: seq,
-            };
-            let repl = if matches!(q, Qual::Lin) {
-                vec![Instr::Val(Value::Ref(l)), Instr::Free, label]
-            } else {
-                vec![Instr::Val(Value::Ref(l)), label]
-            };
-            consume_and_replace(instrs, n + 1, repl)?;
+            let opened = subst_instrs(body, &SubstEnv::pretype(p.clone()));
+            let body = label_body(instrs, r, 1, n, Some((**inner).clone()), opened);
+            let free = linear.then_some(Instr::Free);
+            reduce(
+                instrs,
+                r,
+                n,
+                free.into_iter().chain([label(arity, vec![], body)]),
+            );
         }
         Instr::ArrayGet => {
-            let idx = val(instrs, 1)
+            need(instrs, r, 2)?;
+            let idx = val(instrs, r, 1)
                 .as_num()
                 .map(|(_, b)| b as usize)
                 .ok_or_else(|| RuntimeError::stuck("array.get index not numeric"))?;
-            let rv = val(instrs, 2);
-            let l = ref_loc(&rv)?;
+            let l = ref_loc(val(instrs, r, 2))?;
             let Some(cell) = store.mem.get(l) else {
-                trap(instrs, 2, note, format!("use after free: {l}"));
+                trap(instrs, r, 2, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Array(items) = &cell.hv else {
                 return Err(RuntimeError::stuck("array.get on non-array cell"));
             };
             match items.get(idx) {
-                Some(v) => {
-                    let v = v.clone();
-                    consume_and_replace(instrs, 2, vec![Instr::Val(Value::Ref(l)), Instr::Val(v)])?;
-                }
+                Some(v) => reduce(instrs, r, 1, [Instr::Val(v.clone())]),
                 // Out-of-bounds access traps (Fig. 4).
-                None => trap(instrs, 2, note, format!("array.get out of bounds ({idx})")),
+                None => trap(
+                    instrs,
+                    r,
+                    2,
+                    note,
+                    format!("array.get out of bounds ({idx})"),
+                ),
             }
         }
         Instr::ArraySet => {
-            let newv = val(instrs, 1);
-            let idx = val(instrs, 2)
+            need(instrs, r, 3)?;
+            let idx = val(instrs, r, 2)
                 .as_num()
                 .map(|(_, b)| b as usize)
                 .ok_or_else(|| RuntimeError::stuck("array.set index not numeric"))?;
-            let rv = val(instrs, 3);
-            let l = ref_loc(&rv)?;
+            let l = ref_loc(val(instrs, r, 3))?;
             let Some(cell) = store.mem.get_mut(l) else {
-                trap(instrs, 3, note, format!("use after free: {l}"));
+                trap(instrs, r, 3, note, format!("use after free: {l}"));
                 return Ok(SeqOut::Stepped);
             };
             let HeapValue::Array(items) = &mut cell.hv else {
@@ -966,14 +893,124 @@ fn step_seq(
             };
             match items.get_mut(idx) {
                 Some(slot) => {
-                    *slot = newv;
-                    consume_and_replace(instrs, 3, vec![Instr::Val(Value::Ref(l))])?;
+                    *slot = take_val(instrs, r, 1);
+                    reduce(instrs, r, 2, []);
                 }
-                None => trap(instrs, 3, note, format!("array.set out of bounds ({idx})")),
+                None => trap(
+                    instrs,
+                    r,
+                    3,
+                    note,
+                    format!("array.set out of bounds ({idx})"),
+                ),
             }
         }
     }
     Ok(SeqOut::Stepped)
+}
+
+// Operand access for the redex at `r` of a last-first sequence: the
+// operand `back` slots below the redex (1 = top of stack) sits at
+// `r + back`.
+
+/// The number of values below the redex at `r`.
+fn operands(instrs: &[Instr], r: usize) -> usize {
+    instrs.len() - 1 - r
+}
+
+/// Fails with the stuck "needs `n` operands" error unless `n` values sit
+/// below the redex at `r`. The redex is only rendered on that path.
+fn need(instrs: &[Instr], r: usize, n: usize) -> Result<(), RuntimeError> {
+    let has = operands(instrs, r);
+    if has < n {
+        return Err(RuntimeError::stuck(format!(
+            "instruction {} needs {n} operands, has {has}",
+            instrs[r]
+        )));
+    }
+    Ok(())
+}
+
+/// The operand `back` slots below the redex at `r`.
+fn val(instrs: &[Instr], r: usize, back: usize) -> &Value {
+    match &instrs[r + back] {
+        Instr::Val(v) => v,
+        _ => unreachable!("operands are values"),
+    }
+}
+
+/// Moves the operand `back` slots below the redex at `r` out of the
+/// sequence; the splice that ends the step drops its placeholder.
+fn take_val(instrs: &mut [Instr], r: usize, back: usize) -> Value {
+    match std::mem::replace(&mut instrs[r + back], Instr::Nop) {
+        Instr::Val(v) => v,
+        _ => unreachable!("operands are values"),
+    }
+}
+
+/// Moves the `n` operands from `back` slots below the redex at `r`
+/// downwards out of the sequence, deepest first.
+fn take_vals(
+    instrs: &mut [Instr],
+    r: usize,
+    back: usize,
+    n: usize,
+) -> impl Iterator<Item = Value> + '_ {
+    instrs[r + back..r + back + n].iter_mut().rev().map(|e| {
+        match std::mem::replace(e, Instr::Nop) {
+            Instr::Val(v) => v,
+            _ => unreachable!("operands are values"),
+        }
+    })
+}
+
+/// Moves the redex at `r` out of the sequence; the splice that ends the
+/// step drops its placeholder.
+fn take_redex(instrs: &mut [Instr], r: usize) -> Instr {
+    std::mem::replace(&mut instrs[r], Instr::Nop)
+}
+
+/// Ends a step: replaces the redex at `r` and the `n` operands below it
+/// with `repl`, given in program order.
+fn reduce<I>(instrs: &mut Vec<Instr>, r: usize, n: usize, repl: I)
+where
+    I: IntoIterator<Item = Instr>,
+    I::IntoIter: DoubleEndedIterator,
+{
+    instrs.splice(r..=r + n, repl.into_iter().rev());
+}
+
+/// Ends a step in a trap: replaces the redex at `r` and the `n`
+/// operands below it with `trap`, recording why.
+fn trap(instrs: &mut Vec<Instr>, r: usize, n: usize, note: &mut Option<String>, why: String) {
+    *note = Some(why);
+    reduce(instrs, r, n, [Instr::Trap]);
+}
+
+fn label(arity: u32, cont: Vec<Instr>, body: Vec<Instr>) -> Instr {
+    Instr::Label { arity, cont, body }
+}
+
+/// The last-first body of the label a block-like redex at `r` opens:
+/// the `n` operands from `back` slots below the redex downwards (moved
+/// out of the sequence), then the unpacked value if any, then `code`,
+/// given in program order.
+fn label_body(
+    instrs: &mut [Instr],
+    r: usize,
+    back: usize,
+    n: usize,
+    unpacked: Option<Value>,
+    mut code: Vec<Instr>,
+) -> Vec<Instr> {
+    code.reverse();
+    code.extend(unpacked.map(Instr::Val));
+    code.extend(
+        instrs[r + back..r + back + n]
+            .iter_mut()
+            .map(|e| std::mem::replace(e, Instr::Nop)),
+    );
+    code
 }
 
 /// Shallow shape check for host-function results: the tag of a scalar
@@ -993,29 +1030,6 @@ fn host_result_matches(v: &Value, t: &crate::syntax::Type) -> bool {
 fn ref_loc(v: &Value) -> Result<ConcreteLoc, RuntimeError> {
     v.as_ref_loc()
         .ok_or_else(|| RuntimeError::stuck(format!("expected a reference, got {v}")))
-}
-
-/// Reads a cell, trapping (by mutating the sequence) on dangling
-/// references. Returns `Ok(None)` if a trap was emitted.
-fn read_cell<'s>(
-    store: &'s Store,
-    l: ConcreteLoc,
-    note: &mut Option<String>,
-    instrs: &mut Vec<Instr>,
-    consumed: usize,
-) -> Result<Option<&'s crate::interp::store::Cell>, RuntimeError> {
-    let k = instrs
-        .iter()
-        .position(|e| !is_value(e))
-        .expect("redex exists");
-    match store.mem.get(l) {
-        Some(c) => Ok(Some(c)),
-        None => {
-            *note = Some(format!("use after free: {l}"));
-            instrs.splice(k - consumed..=k, [Instr::Trap]);
-            Ok(None)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1334,5 +1348,65 @@ mod more_tests {
             .as_deref()
             .unwrap()
             .contains("out of bounds"));
+    }
+}
+
+#[cfg(test)]
+mod stuck_tests {
+    use super::*;
+    use crate::syntax::instr::{Block as RwBlock, IntBinop, NumInstr};
+    use crate::syntax::{ArrowType, NumType, Type};
+
+    /// Takes one step of `instrs` and returns the stuck reason.
+    fn stuck_reason(instrs: Vec<Instr>) -> String {
+        let mut cfg = Config {
+            instrs,
+            ..Config::default()
+        };
+        let before = cfg.instrs.clone();
+        match step_config(&mut Store::default(), &[], &HostFuncs::default(), &mut cfg) {
+            Err(RuntimeError::Stuck { reason }) => {
+                assert_eq!(cfg.instrs, before, "a stuck step changes nothing");
+                reason
+            }
+            other => panic!("expected a stuck step, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_operands_are_stuck_with_the_redex_named() {
+        assert_eq!(
+            stuck_reason(vec![Instr::Drop]),
+            "instruction drop needs 1 operands, has 0"
+        );
+        let add = Instr::Num(NumInstr::IntBinop(NumType::I32, IntBinop::Add));
+        assert_eq!(
+            stuck_reason(vec![Instr::i32(1), add]),
+            "instruction IntBinop(I32, Add) needs 2 operands, has 1"
+        );
+        let block = Instr::BlockI(
+            RwBlock::new(
+                ArrowType::new(vec![Type::num(NumType::I32)], vec![]),
+                vec![],
+            ),
+            vec![Instr::Drop],
+        );
+        assert_eq!(
+            stuck_reason(vec![block]),
+            "instruction block [i32^unr] → [] needs 1 operands, has 0"
+        );
+    }
+
+    #[test]
+    fn a_failed_side_condition_leaves_the_operands_in_place() {
+        let instrs = vec![
+            Instr::i32(1),
+            Instr::i32(2),
+            Instr::Val(Value::Unit),
+            Instr::Select,
+        ];
+        assert_eq!(stuck_reason(instrs), "select condition not i32");
+        let instrs = vec![Instr::i32(3), Instr::Ungroup];
+        assert_eq!(stuck_reason(instrs), "seq.ungroup on non-tuple");
     }
 }

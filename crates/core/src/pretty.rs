@@ -22,7 +22,7 @@ use std::fmt::Write;
 
 use crate::syntax::{Func, GlobalKind, Instr, Module};
 
-fn write_instrs(es: &[Instr], indent: usize, out: &mut String) {
+fn write_instrs<'a>(es: impl IntoIterator<Item = &'a Instr>, indent: usize, out: &mut String) {
     for e in es {
         write_instr(e, indent, out);
     }
@@ -69,16 +69,17 @@ fn write_instr(e: &Instr, indent: usize, out: &mut String) {
             }
             let _ = writeln!(out, "{pad})");
         }
+        // Frame bodies are stored last instruction first.
         Instr::Label { arity, body, .. } => {
             let _ = writeln!(out, "{pad}(label_{arity}");
-            write_instrs(body, indent + 1, out);
+            write_instrs(body.iter().rev(), indent + 1, out);
             let _ = writeln!(out, "{pad})");
         }
         Instr::LocalFrame {
             arity, inst, body, ..
         } => {
             let _ = writeln!(out, "{pad}(local_{arity} inst={inst}");
-            write_instrs(body, indent + 1, out);
+            write_instrs(body.iter().rev(), indent + 1, out);
             let _ = writeln!(out, "{pad})");
         }
         other => {

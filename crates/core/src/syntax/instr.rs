@@ -287,16 +287,23 @@ pub enum Instr {
     },
     /// `label_n {e1*} e2* end`: a control frame with arity `n`,
     /// continuation `e1*` (non-empty only for loops) and body `e2*`.
+    ///
+    /// Only reduction creates frames, and it stores their bodies **last
+    /// instruction first**: the next instruction to reduce is the last
+    /// non-value, so a step pops and pushes at the end of the vector and
+    /// never moves the code after its redex.
     Label {
         /// Number of values the label yields (branch arity).
         arity: u32,
-        /// The continuation spliced in when a branch targets this label.
+        /// The continuation spliced in when a branch targets this label,
+        /// in program order.
         cont: Vec<Instr>,
-        /// The body currently being reduced.
+        /// The body currently being reduced, last instruction first.
         body: Vec<Instr>,
     },
     /// `local_n {i; (v, sz)*} e* end`: a function activation frame with
-    /// return arity `n`, owning module instance `i`, and local slots.
+    /// return arity `n`, owning module instance `i`, and local slots. Its
+    /// body is stored last instruction first, like a [`Instr::Label`]'s.
     LocalFrame {
         /// Return arity.
         arity: u32,
@@ -304,7 +311,7 @@ pub enum Instr {
         inst: u32,
         /// Local slot values and their sizes.
         locals: Vec<(Value, Size)>,
-        /// The body being reduced.
+        /// The body being reduced, last instruction first.
         body: Vec<Instr>,
     },
     /// `malloc sz hv q`: allocate `hv` in the memory selected by `q`.

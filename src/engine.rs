@@ -552,7 +552,8 @@ pub struct EngineConfig {
     /// off requires [`Exec::Interp`]: lowering is type-directed, so the
     /// Wasm path cannot run unchecked.
     pub typecheck: bool,
-    /// Run a GC every `n` interpreter steps (default: only on demand).
+    /// Run a GC every `n` interpreter steps (default: only on demand;
+    /// `Some(0)` also means only on demand).
     pub auto_gc_every: Option<u64>,
     /// Caps interpreter steps per invocation on both backends.
     pub fuel: Option<u64>,
@@ -605,7 +606,8 @@ impl EngineConfig {
         self
     }
 
-    /// Runs a GC every `n` interpreter steps.
+    /// Runs a GC every `n` interpreter steps; `0` never collects
+    /// automatically, like the default.
     pub fn auto_gc_every(mut self, n: u64) -> Self {
         self.auto_gc_every = Some(n);
         self

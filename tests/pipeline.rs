@@ -384,6 +384,41 @@ fn polymorphic_call_chains_through_wasm() {
 }
 
 #[test]
+fn a_zero_gc_period_never_collects_automatically() {
+    // `auto_gc_every(0)` is "no automatic collection", not a period of
+    // zero steps: on the interpreter alone and in differential mode, the
+    // same steps and value as without a period.
+    let set = ModuleSet::new().richwasm("m", workloads::churn(3));
+    for exec in [Exec::Interp, Exec::Differential] {
+        let run = |config: EngineConfig| {
+            let out = Engine::with_config(config.exec(exec))
+                .instantiate(&set)
+                .expect("churn builds")
+                .invoke_entry()
+                .expect("churn runs");
+            assert_eq!(out.i32(), Some(3), "{exec:?}");
+            out.richwasm.expect("the interpreter ran").steps
+        };
+        assert_eq!(
+            run(EngineConfig::new().auto_gc_every(0)),
+            run(EngineConfig::new()),
+            "{exec:?}"
+        );
+    }
+    // A `.rwart` artifact carries the zero through.
+    let artifact = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).auto_gc_every(0))
+        .compile(&set)
+        .unwrap();
+    let bytes = artifact
+        .serialize()
+        .expect("a host-free Wasm artifact serializes");
+    let decoded = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
+    assert_eq!(decoded.config().auto_gc_every, Some(0));
+    let out = decoded.instantiate().unwrap().invoke_entry().unwrap();
+    assert_eq!(out.i32(), Some(3));
+}
+
+#[test]
 fn gc_under_pressure_in_counter_scenario() {
     // Run the Fig. 9 counter with the collector firing every few steps:
     // results unchanged, and dead option cells get reclaimed. Interp-only:
