@@ -10,7 +10,9 @@
 //! * **`min_steps`** — a sound *lower* bound on the steps any normally
 //!   completing invocation consumes: a shortest-path computation over
 //!   the [`Cfg`] (via the backward dataflow framework), composed across
-//!   direct calls by a Kleene ascent from zero. A fuel budget below
+//!   calls callee-first over the call graph's strongly connected
+//!   components, with a Kleene ascent from zero only inside a recursive
+//!   component. A fuel budget below
 //!   `min_steps` can only end in a trap or fuel exhaustion, never
 //!   normal completion — which is what lets `EngineServer` reject such
 //!   jobs up front.
@@ -30,8 +32,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use richwasm_wasm::ast::{ExportKind, ImportKind, Module, WInstr};
+use richwasm_wasm::ast::{ExportKind, Module, WInstr};
 
+use crate::callgraph::CallGraph;
 use crate::cfg::{BlockId, Cfg, FrameKind, Term};
 use crate::dataflow::{solve, DataflowPass, Direction, JoinLattice};
 
@@ -125,103 +128,73 @@ impl CostReport {
         self.funcs.iter().find(|c| c.func == idx)
     }
 
-    /// Sound lower bound on the steps a normally completing invocation
-    /// of the named export consumes. `None` when the export is unknown
-    /// or resolves to an imported function (whose cost this module
-    /// cannot see).
+    /// The cost summary of the named export. `None` when the export is
+    /// unknown or resolves to an imported function (whose cost this
+    /// module cannot see).
     #[must_use]
-    pub fn min_steps_of_export(&self, name: &str) -> Option<u64> {
+    pub fn export(&self, name: &str) -> Option<&FuncCost> {
         let idx = self
             .exports
             .iter()
             .find_map(|(n, i)| (n == name).then_some(*i))?;
-        self.func(idx).map(|c| c.min_steps)
+        self.func(idx)
+    }
+
+    /// Sound lower bound on the steps a normally completing invocation
+    /// of the named export consumes; `None` as for [`CostReport::export`].
+    #[must_use]
+    pub fn min_steps_of_export(&self, name: &str) -> Option<u64> {
+        self.export(name).map(|c| c.min_steps)
     }
 }
 
-/// Shared context for per-instruction minimum costs.
-struct CostCtx<'m> {
-    n_imports: u32,
-    /// `min_steps` per defined function (current Kleene estimate).
-    minfunc: &'m [u64],
-    /// Extra (callee) minimum per type index for `call_indirect`.
-    indirect_min: Vec<u64>,
+/// Per-instruction minimum costs against the current `min_steps`
+/// estimates.
+struct CostCtx<'a> {
+    graph: &'a CallGraph,
+    /// `min_steps` per defined function: final for every function
+    /// already solved, the current estimate inside a recursive SCC.
+    minfunc: &'a [u64],
 }
 
-impl<'m> CostCtx<'m> {
-    fn new(m: &'m Module, minfunc: &'m [u64]) -> Self {
-        let n_imports = m.num_func_imports() as u32;
-        let table_imported = m
-            .imports
-            .iter()
-            .any(|im| matches!(im.kind, ImportKind::Table(_)));
-        // Candidate sets per type index: the functions listed in element
-        // segments whose type structurally equals the expected one. With
-        // an imported (shared) table other modules contribute entries we
-        // cannot see, so the callee minimum degrades to 0.
-        let elem_funcs: Vec<u32> = m
-            .elems
-            .iter()
-            .flat_map(|e| e.funcs.iter().copied())
-            .collect();
-        let indirect_min = m
-            .types
-            .iter()
-            .map(|ft| {
-                if table_imported {
-                    return 0;
-                }
-                elem_funcs
-                    .iter()
-                    .filter(|&&f| m.func_type(f) == Some(ft))
-                    .map(|&f| {
-                        if f < n_imports {
-                            0
-                        } else {
-                            minfunc[(f - n_imports) as usize]
-                        }
-                    })
-                    .min()
-                    // No compatible entry in a fully known table: the
-                    // call always traps, so no completion through it.
-                    .unwrap_or(NEVER)
-            })
-            .collect();
-        CostCtx {
-            n_imports,
-            minfunc,
-            indirect_min,
-        }
+impl CostCtx<'_> {
+    /// Minimum steps of a callee's body: `0` for an import, whose linked
+    /// body may be empty.
+    fn callee_min(&self, f: u32) -> u64 {
+        self.graph.defined(f).map_or(0, |i| self.minfunc[i])
     }
 
     /// Minimum steps one plain instruction consumes (callees included).
     fn instr_min(&self, ins: &WInstr) -> u64 {
-        match ins {
-            WInstr::Call(f) => {
-                if *f < self.n_imports {
-                    1
-                } else {
-                    1u64.saturating_add(self.minfunc[(*f - self.n_imports) as usize])
-                }
-            }
-            WInstr::CallIndirect(ti) => 1u64.saturating_add(
-                self.indirect_min
-                    .get(*ti as usize)
-                    .copied()
+        let callee = match ins {
+            WInstr::Call(f) => self.callee_min(*f),
+            // With an imported (shared) table other modules contribute
+            // entries we cannot see, so the callee minimum degrades to 0;
+            // with no compatible entry in a fully known table the call
+            // always traps, so no completion runs through it.
+            WInstr::CallIndirect(ti) => match self.graph.candidates(*ti) {
+                None => 0,
+                Some(cands) => cands
+                    .iter()
+                    .map(|&f| self.callee_min(f))
+                    .min()
                     .unwrap_or(NEVER),
-            ),
-            _ => 1,
-        }
+            },
+            _ => 0,
+        };
+        1u64.saturating_add(callee)
     }
 
-    /// Total minimum cost of a block (instructions plus terminator).
-    fn block_min(&self, cfg: &Cfg, b: BlockId) -> u64 {
-        let blk = &cfg.blocks[b];
-        let mut c = blk.term.step_cost();
-        for (_, ins) in &blk.instrs {
-            c = c.saturating_add(self.instr_min(ins));
-        }
-        c
+    /// Total minimum cost of every block (instructions plus terminator).
+    fn block_costs(&self, cfg: &Cfg) -> Vec<u64> {
+        cfg.blocks
+            .iter()
+            .map(|blk| {
+                blk.instrs.iter().fold(blk.term.step_cost(), |c, (_, ins)| {
+                    c.saturating_add(self.instr_min(ins))
+                })
+            })
+            .collect()
     }
 }
 
@@ -241,7 +214,8 @@ impl JoinLattice for MinDist {
 }
 
 struct MinCostPass<'a> {
-    ctx: &'a CostCtx<'a>,
+    /// Per-block minimum cost, from [`CostCtx::block_costs`].
+    costs: &'a [u64],
 }
 
 impl DataflowPass for MinCostPass<'_> {
@@ -259,48 +233,60 @@ impl DataflowPass for MinCostPass<'_> {
         MinDist(NEVER)
     }
 
-    fn transfer(&self, cfg: &Cfg, block: BlockId, fact: &MinDist) -> MinDist {
+    fn transfer(&self, _cfg: &Cfg, block: BlockId, fact: &MinDist) -> MinDist {
         if fact.0 == NEVER {
             return MinDist(NEVER);
         }
-        MinDist(fact.0.saturating_add(self.ctx.block_min(cfg, block)))
+        MinDist(fact.0.saturating_add(self.costs[block]))
     }
 }
 
+/// The shortest path to completion through `cfg`, under the callee
+/// estimates in `minfunc`.
+fn solve_min(g: &CallGraph, minfunc: &[u64], cfg: &Cfg) -> u64 {
+    let costs = CostCtx { graph: g, minfunc }.block_costs(cfg);
+    solve(cfg, &MinCostPass { costs: &costs })[cfg.entry()].0
+}
+
 /// Computes `min_steps` for every defined function: a per-function
-/// shortest path to completion, closed over direct calls by a Kleene
-/// ascent from zero. Estimates only grow and every intermediate vector
-/// is a sound lower bound, so capping the rounds preserves soundness
-/// (unbounded recursion simply stops ascending at the cap).
-fn min_costs(m: &Module, cfgs: &[Cfg]) -> Vec<u64> {
+/// shortest path to completion, solved callee-first over the call
+/// graph's SCCs. A non-recursive function sees only final callee
+/// values, so one solve is exact. A recursive SCC is closed by a Kleene
+/// ascent from zero over its own members, capped at `nf + 8` rounds:
+/// estimates only grow and every intermediate value is a sound lower
+/// bound, so the cap preserves soundness (unbounded recursion simply
+/// stops ascending there).
+fn min_costs(g: &CallGraph, cfgs: &[Cfg]) -> Vec<u64> {
     let nf = cfgs.len();
     let mut minfunc = vec![0u64; nf];
-    for _ in 0..nf + 8 {
-        let mut changed = false;
-        let next: Vec<u64> = {
-            let ctx = CostCtx::new(m, &minfunc);
-            cfgs.iter()
-                .map(|cfg| solve(cfg, &MinCostPass { ctx: &ctx })[cfg.entry()].0)
-                .collect()
-        };
-        for (cur, new) in minfunc.iter_mut().zip(next) {
-            if new != *cur {
-                *cur = new;
-                changed = true;
-            }
+    for scc in &g.sccs {
+        if !scc.cyclic {
+            let f = scc.funcs[0];
+            minfunc[f] = solve_min(g, &minfunc, &cfgs[f]);
+            continue;
         }
-        if !changed {
-            break;
+        for _ in 0..nf + 8 {
+            let mut changed = false;
+            for &f in &scc.funcs {
+                let new = solve_min(g, &minfunc, &cfgs[f]);
+                if new != minfunc[f] {
+                    minfunc[f] = new;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
         }
     }
     minfunc
 }
 
 /// Shortest cycle through loop header `h` (steps consumed by one
-/// iteration), or [`NEVER`] when no back edge is live.
-fn min_cycle(cfg: &Cfg, ctx: &CostCtx<'_>, h: BlockId) -> u64 {
+/// iteration), or [`NEVER`] when no back edge is live. `costs` holds
+/// each block's minimum cost.
+fn min_cycle(cfg: &Cfg, costs: &[u64], h: BlockId) -> u64 {
     let n = cfg.blocks.len();
-    let costs: Vec<u64> = (0..n).map(|b| ctx.block_min(cfg, b)).collect();
     let mut e = vec![NEVER; n];
     loop {
         let mut changed = false;
@@ -418,22 +404,28 @@ impl MaxCtx<'_> {
 
 /// Computes the module's [`CostReport`] (`max_call_depth` is left for
 /// the call-graph pass to fill in). `cfgs` holds one CFG per defined
-/// function, in definition order.
+/// function, in definition order; `g` is the module's call graph.
 #[must_use]
-pub fn cost_report(m: &Module, cfgs: &[Cfg]) -> CostReport {
-    let n_imports = m.num_func_imports() as u32;
-    let minfunc = min_costs(m, cfgs);
+pub fn cost_report(m: &Module, cfgs: &[Cfg], g: &CallGraph) -> CostReport {
+    let n_imports = g.n_imports;
+    let minfunc = min_costs(g, cfgs);
 
-    // Per-loop iteration minima, now that call minima have converged.
-    let ctx = CostCtx::new(m, &minfunc);
+    // Per-loop iteration minima, now that call minima have converged;
+    // block costs are computed once per function that has a loop.
+    let ctx = CostCtx {
+        graph: g,
+        minfunc: &minfunc,
+    };
     let loop_iter: Vec<HashMap<u32, u64>> = cfgs
         .iter()
         .map(|cfg| {
             let mut map = HashMap::new();
+            let mut costs = None;
             for blk in &cfg.blocks {
                 if let Term::Enter { frame, body } = &blk.term {
                     if cfg.frames[*frame].kind == FrameKind::Loop {
-                        let c = min_cycle(cfg, &ctx, *body);
+                        let costs = costs.get_or_insert_with(|| ctx.block_costs(cfg));
+                        let c = min_cycle(cfg, costs, *body);
                         if c != NEVER {
                             map.insert(blk.term_offset, c);
                         }
@@ -473,5 +465,408 @@ pub fn cost_report(m: &Module, cfgs: &[Cfg]) -> CostReport {
         funcs,
         exports,
         max_call_depth: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use richwasm_wasm::ast::{
+        BlockType, ElemSegment, Export, FuncDef, FuncType, Import, ImportKind, ValType,
+    };
+
+    use super::*;
+    use crate::cfg::build_cfg;
+
+    /// The whole-module solver this module used before the call-graph
+    /// order, kept only as a reference: a Jacobi Kleene ascent from zero
+    /// that re-solves every function each round, capped at `nf + 8`
+    /// rounds. Returns the estimates and whether the ascent converged.
+    fn jacobi_min_costs(m: &Module, cfgs: &[Cfg]) -> (Vec<u64>, bool) {
+        let n_imports = m.num_func_imports() as u32;
+        let table_imported = m
+            .imports
+            .iter()
+            .any(|im| matches!(im.kind, ImportKind::Table(_)));
+        let elem_funcs: Vec<u32> = m.elems.iter().flat_map(|e| e.funcs.clone()).collect();
+        let nf = cfgs.len();
+        let mut minfunc = vec![0u64; nf];
+        for _ in 0..nf + 8 {
+            let callee = |f: u32| f.checked_sub(n_imports).map_or(0, |i| minfunc[i as usize]);
+            let indirect_min: Vec<u64> = m
+                .types
+                .iter()
+                .map(|ft| {
+                    if table_imported {
+                        return 0;
+                    }
+                    elem_funcs
+                        .iter()
+                        .filter(|&&f| m.func_type(f) == Some(ft))
+                        .map(|&f| callee(f))
+                        .min()
+                        .unwrap_or(NEVER)
+                })
+                .collect();
+            let instr_min = |ins: &WInstr| match ins {
+                WInstr::Call(f) => 1u64.saturating_add(callee(*f)),
+                WInstr::CallIndirect(ti) => 1u64.saturating_add(indirect_min[*ti as usize]),
+                _ => 1,
+            };
+            let next: Vec<u64> = cfgs
+                .iter()
+                .map(|cfg| {
+                    let costs: Vec<u64> = cfg
+                        .blocks
+                        .iter()
+                        .map(|blk| {
+                            blk.instrs.iter().fold(blk.term.step_cost(), |c, (_, ins)| {
+                                c.saturating_add(instr_min(ins))
+                            })
+                        })
+                        .collect();
+                    solve(cfg, &MinCostPass { costs: &costs })[cfg.entry()].0
+                })
+                .collect();
+            if next == minfunc {
+                return (minfunc, true);
+            }
+            minfunc = next;
+        }
+        (minfunc, false)
+    }
+
+    /// The memoised depth-first call-depth bound the call-graph pass
+    /// used before the condensation, kept only as a reference.
+    fn dfs_max_call_depth(m: &Module) -> Option<u32> {
+        fn depth(
+            fi: usize,
+            m: &Module,
+            g: &CallGraph,
+            memo: &mut [Option<Option<u32>>],
+            visiting: &mut [bool],
+        ) -> Option<u32> {
+            if let Some(d) = memo[fi] {
+                return d;
+            }
+            if visiting[fi] {
+                return None;
+            }
+            visiting[fi] = true;
+            let table_imported = m
+                .imports
+                .iter()
+                .any(|im| matches!(im.kind, ImportKind::Table(_)));
+            let mut callees: Vec<u32> = g.calls[fi].direct.iter().map(|&(_, c)| c).collect();
+            let mut unknown = false;
+            for &(_, ti) in &g.calls[fi].indirect {
+                if table_imported {
+                    unknown = true;
+                } else {
+                    let ft = &m.types[ti as usize];
+                    callees.extend(
+                        m.elems
+                            .iter()
+                            .flat_map(|e| e.funcs.iter().copied())
+                            .filter(|&f| m.func_type(f) == Some(ft)),
+                    );
+                }
+            }
+            let d = if unknown {
+                None
+            } else {
+                callees
+                    .into_iter()
+                    .map(|c| match g.defined(c) {
+                        None => Some(1),
+                        Some(ci) => depth(ci, m, g, memo, visiting),
+                    })
+                    .try_fold(0u32, |a, d| Some(a.max(d?)))
+                    .map(|d| d + 1)
+            };
+            visiting[fi] = false;
+            memo[fi] = Some(d);
+            d
+        }
+        let g = CallGraph::build(m);
+        let nf = m.funcs.len();
+        let mut memo = vec![None; nf];
+        let mut visiting = vec![false; nf];
+        (0..nf).try_fold(0u32, |a, fi| {
+            Some(a.max(depth(fi, m, &g, &mut memo, &mut visiting)?))
+        })
+    }
+
+    const UNIT: FuncType = FuncType {
+        params: vec![],
+        results: vec![],
+    };
+
+    fn func(body: Vec<WInstr>) -> FuncDef {
+        FuncDef {
+            type_idx: 0,
+            locals: vec![],
+            body,
+        }
+    }
+
+    /// A module of `[] → []` functions, each exported.
+    fn module(bodies: Vec<Vec<WInstr>>) -> Module {
+        let exports = (0..bodies.len() as u32)
+            .map(|i| Export {
+                name: format!("f{i}"),
+                kind: ExportKind::Func(i),
+            })
+            .collect();
+        Module {
+            types: vec![UNIT],
+            funcs: bodies.into_iter().map(func).collect(),
+            exports,
+            ..Module::default()
+        }
+    }
+
+    fn with_table(mut m: Module, entries: Vec<u32>) -> Module {
+        m.table = Some(entries.len() as u32);
+        m.elems.push(ElemSegment {
+            offset: 0,
+            funcs: entries,
+        });
+        m
+    }
+
+    fn import_func(mut m: Module) -> Module {
+        m.imports.push(Import {
+            module: "host".into(),
+            name: "f".into(),
+            kind: ImportKind::Func(0),
+        });
+        m
+    }
+
+    /// `if (const 0) { then } else { else_ }`.
+    fn diamond(then: Vec<WInstr>, else_: Vec<WInstr>) -> Vec<WInstr> {
+        vec![
+            WInstr::I32Const(0),
+            WInstr::If(BlockType::Empty, then, else_),
+        ]
+    }
+
+    fn indirect() -> Vec<WInstr> {
+        vec![WInstr::I32Const(0), WInstr::CallIndirect(0)]
+    }
+
+    /// A direct chain of `n` functions: `f_i` calls `f_{i-1}` when
+    /// `down`, `f_{i+1}` otherwise.
+    fn chain(n: u32, down: bool) -> Module {
+        module(
+            (0..n)
+                .map(|i| {
+                    let callee = if down { i.checked_sub(1) } else { Some(i + 1) };
+                    match callee.filter(|&c| c < n) {
+                        Some(c) => vec![WInstr::Nop, WInstr::Call(c), WInstr::Nop],
+                        None => vec![WInstr::Nop],
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// The handcrafted equivalence corpus: (label, module, whether the
+    /// reference ascent must converge).
+    fn corpus() -> Vec<(&'static str, Module, bool)> {
+        let mut imported_table = module(vec![indirect(), vec![WInstr::Call(0)]]);
+        imported_table.imports.push(Import {
+            module: "host".into(),
+            name: "table".into(),
+            kind: ImportKind::Table(1),
+        });
+        let mut typed_table = with_table(
+            module(vec![
+                vec![
+                    WInstr::I32Const(0),
+                    WInstr::CallIndirect(1),
+                    WInstr::Drop,
+                    WInstr::I32Const(0),
+                    WInstr::CallIndirect(0),
+                ],
+                vec![WInstr::Nop, WInstr::Nop, WInstr::Nop],
+                vec![WInstr::I32Const(4)],
+            ]),
+            vec![1, 2],
+        );
+        typed_table.types.push(FuncType {
+            params: vec![],
+            results: vec![ValType::I32],
+        });
+        typed_table.funcs[2].type_idx = 1;
+        vec![
+            ("chain down 60", chain(60, true), true),
+            ("chain up 60", chain(60, false), true),
+            (
+                "calling diamonds",
+                module(vec![
+                    diamond(
+                        vec![WInstr::Call(1), WInstr::Call(1)],
+                        diamond(vec![WInstr::Call(2)], vec![WInstr::Call(3)]),
+                    ),
+                    diamond(vec![WInstr::Call(2)], vec![WInstr::Call(3), WInstr::Nop]),
+                    vec![WInstr::Nop; 5],
+                    vec![WInstr::Unreachable],
+                ]),
+                true,
+            ),
+            (
+                "even/odd",
+                module(vec![
+                    diamond(vec![WInstr::Call(1)], vec![WInstr::Nop]),
+                    diamond(vec![WInstr::Call(0)], vec![]),
+                    vec![WInstr::Call(1), WInstr::Call(0)],
+                ]),
+                true,
+            ),
+            (
+                "self-recursion without a base case",
+                module(vec![
+                    vec![WInstr::Nop, WInstr::Call(0)],
+                    vec![WInstr::Call(0)],
+                    vec![WInstr::Call(1), WInstr::Nop],
+                ]),
+                false,
+            ),
+            (
+                "mutual recursion without a base case",
+                module(vec![vec![WInstr::Call(1)], vec![WInstr::Call(0)]]),
+                false,
+            ),
+            (
+                "indirect into an earlier SCC",
+                with_table(
+                    module(vec![
+                        indirect(),
+                        vec![WInstr::Nop; 4],
+                        vec![WInstr::Call(3)],
+                        vec![WInstr::Nop],
+                    ]),
+                    vec![1, 2],
+                ),
+                true,
+            ),
+            (
+                "indirect within its own SCC",
+                with_table(
+                    module(vec![
+                        diamond(indirect(), vec![WInstr::Nop, WInstr::Nop]),
+                        vec![WInstr::Call(0)],
+                    ]),
+                    vec![0, 1],
+                ),
+                true,
+            ),
+            (
+                "indirect self-recursion without a base case",
+                with_table(module(vec![indirect(), vec![WInstr::Call(0)]]), vec![0]),
+                false,
+            ),
+            ("indirect by type", typed_table, true),
+            (
+                "indirect with no compatible entry",
+                with_table(module(vec![indirect(), vec![WInstr::Call(0)]]), vec![]),
+                true,
+            ),
+            ("imported table", imported_table, true),
+            (
+                "calls to imports",
+                import_func(module(vec![
+                    vec![WInstr::Call(0), WInstr::Call(2)],
+                    vec![WInstr::Call(0)],
+                    diamond(vec![WInstr::Call(1)], vec![WInstr::Call(0)]),
+                ])),
+                true,
+            ),
+            (
+                "import in the table",
+                with_table(
+                    import_func(module(vec![indirect(), vec![WInstr::Nop; 3]])),
+                    vec![0, 2],
+                ),
+                true,
+            ),
+        ]
+    }
+
+    /// The modules of `crates/analyze/tests/negative.rs` that call.
+    fn negative_modules() -> Vec<Module> {
+        let mut f_calls_g = module(vec![vec![WInstr::Call(1)], vec![]]);
+        f_calls_g.exports.truncate(1);
+        vec![
+            module(vec![vec![WInstr::I32Const(0), WInstr::Drop]]),
+            with_table(module(vec![indirect()]), vec![]),
+            module(vec![vec![], vec![]]),
+            f_calls_g,
+            module(vec![vec![WInstr::Call(0)]]),
+            module(vec![
+                diamond(vec![WInstr::Call(1)], vec![]),
+                vec![WInstr::Call(0)],
+            ]),
+        ]
+    }
+
+    fn cfgs(m: &Module) -> Vec<Cfg> {
+        m.funcs.iter().map(|f| build_cfg(m, f).unwrap()).collect()
+    }
+
+    #[test]
+    fn scc_order_matches_the_jacobi_ascent() {
+        for (label, m, converges) in corpus() {
+            let cfgs = cfgs(&m);
+            let (reference, converged) = jacobi_min_costs(&m, &cfgs);
+            let new = min_costs(&CallGraph::build(&m), &cfgs);
+            assert_eq!(converged, converges, "{label}: reference convergence");
+            if converged {
+                assert_eq!(new, reference, "{label}");
+            } else {
+                assert!(
+                    reference.iter().zip(&new).all(|(r, n)| r <= n),
+                    "{label}: capped reference {reference:?} above {new:?}"
+                );
+            }
+            assert_eq!(
+                CallGraph::build(&m).max_call_depth(),
+                dfs_max_call_depth(&m),
+                "{label}: max_call_depth"
+            );
+        }
+    }
+
+    #[test]
+    fn call_depth_matches_the_dfs_on_the_negative_modules() {
+        let depths: Vec<_> = negative_modules()
+            .iter()
+            .map(|m| CallGraph::build(m).max_call_depth())
+            .collect();
+        let reference: Vec<_> = negative_modules().iter().map(dfs_max_call_depth).collect();
+        assert_eq!(depths, reference);
+        assert_eq!(depths, [Some(1), Some(1), Some(1), Some(2), None, None]);
+    }
+
+    #[test]
+    fn loop_iteration_floor_counts_callee_minima() {
+        // loop { call f1; local.get 0; br_if 0 } with f1 = two nops: one
+        // iteration is call(1) + 2 + local.get(1) + br_if(1) = 5.
+        let mut m = module(vec![
+            vec![WInstr::Loop(
+                BlockType::Empty,
+                vec![WInstr::Call(1), WInstr::LocalGet(0), WInstr::BrIf(0)],
+            )],
+            vec![WInstr::Nop, WInstr::Nop],
+        ]);
+        m.funcs[0].locals.push(ValType::I32);
+        let cfgs = cfgs(&m);
+        let report = cost_report(&m, &cfgs, &CallGraph::build(&m));
+        assert_eq!(report.funcs[0].min_steps, 6);
+        assert_eq!(
+            report.funcs[0].max_steps,
+            Bound::Unbounded { min_iteration: 5 }
+        );
     }
 }

@@ -11,7 +11,9 @@
 //!    interpreter steps (used by `EngineServer` to reject infeasible
 //!    budgets) and upper bounds where loops are boundable.
 //! 3. **Call graph** ([`callgraph`]) — `call_indirect` candidate sets,
-//!    unreachable functions, and a module-local call-depth bound.
+//!    unreachable functions, and a module-local call-depth bound. The
+//!    [`callgraph::CallGraph`] is built once per module and also fixes
+//!    the callee-first order the fuel-cost pass solves in.
 //! 4. **Dead code** ([`deadcode`]) — unreachable-block lint.
 //!
 //! The pipeline runs [`analyze_module`] at `Artifact` build time
@@ -279,8 +281,9 @@ pub fn analyze_module(m: &Module) -> AnalysisReport {
         }
     }
 
+    let graph = callgraph::CallGraph::build(m);
     let mut diagnostics = Vec::new();
-    let mut cost = cost_report(m, &cfgs);
+    let mut cost = cost_report(m, &cfgs, &graph);
     for fc in &cost.funcs {
         if fc.min_steps == NEVER {
             diagnostics.push(Diagnostic {
@@ -293,7 +296,7 @@ pub fn analyze_module(m: &Module) -> AnalysisReport {
         }
     }
 
-    let cg = callgraph::callgraph(m);
+    let cg = callgraph::callgraph(m, &graph);
     cost.max_call_depth = cg.max_call_depth;
     diagnostics.extend(cg.diagnostics);
 

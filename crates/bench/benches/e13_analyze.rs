@@ -5,9 +5,20 @@
 //!
 //! Analysis rides along on every cold compile (at `Analysis::Warn`, the
 //! default), so its budget is expressed *relative* to the pipeline it
-//! joins: the acceptance gate requires the analyze stage to cost **≤ 30%
-//! of a cold compile** (cold/analyze ≥ 10/3). In practice the
-//! substructural typecheck and whole-program lowering dwarf it.
+//! joins. Two acceptance gates:
+//!
+//! * `cold_compile_over_analyze` — the analyze stage costs **≤ 30% of a
+//!   cold compile** over the scenario corpus (cold/analyze ≥ 10/3);
+//! * `analyze_flat_in_chain_length` — analysis stays linear in call
+//!   depth: `4·t(arith_chain(100)) / t(arith_chain(400)) ≥ 0.5`, each
+//!   `t` the median of 9 runs of `analyze_module` over every lowered
+//!   module of the set. A solver that re-solves the module once per
+//!   call level is quadratic on a chain and scores about 0.25; the
+//!   callee-first solver scores about 1.
+//!
+//! Both matter because the analyzer's share depends on the program:
+//! on the scenario corpus typecheck and lowering cost more, but on a
+//! long call chain a quadratic analysis would outgrow them both.
 //!
 //! Series reported:
 //!
@@ -41,13 +52,11 @@ fn scenario_sets() -> Vec<ModuleSet> {
     ]
 }
 
-fn bench(c: &mut Criterion) {
-    // Collect every lowered module once, without analysis, so the
-    // analyze series measures exactly the Stage::Analyze work.
+/// Every lowered module of `sets`, compiled once without analysis, so
+/// analyzing them is exactly the Stage::Analyze work.
+fn lowered(sets: &[ModuleSet]) -> Vec<Module> {
     let off = Engine::with_config(EngineConfig::new().analysis(Analysis::Off));
-    let sets = scenario_sets();
-    let modules: Vec<Module> = sets
-        .iter()
+    sets.iter()
         .flat_map(|set| {
             off.compile(set)
                 .unwrap()
@@ -56,7 +65,23 @@ fn bench(c: &mut Criterion) {
                 .map(|(_, wm)| wm.clone())
                 .collect::<Vec<_>>()
         })
-        .collect();
+        .collect()
+}
+
+/// Median wall time of analyzing `modules`, in nanoseconds.
+fn median_analyze_ns(samples: usize, modules: &[Module]) -> f64 {
+    median_of(samples, || {
+        for wm in modules {
+            criterion::black_box(analyze_module(wm));
+        }
+    })
+    .as_nanos()
+    .max(1) as f64
+}
+
+fn bench(c: &mut Criterion) {
+    let sets = scenario_sets();
+    let modules = lowered(&sets);
     assert!(!modules.is_empty());
 
     let mut g = c.benchmark_group("e13_analyze");
@@ -81,13 +106,7 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     let samples = 11;
-    let analyze_ns = median_of(samples, || {
-        for wm in &modules {
-            criterion::black_box(analyze_module(wm));
-        }
-    })
-    .as_nanos()
-    .max(1) as f64;
+    let analyze_ns = median_analyze_ns(samples, &modules);
     let cold_ns = median_of(samples, || {
         let engine = Engine::with_config(EngineConfig::new().analysis(Analysis::Off));
         for set in &sets {
@@ -108,6 +127,26 @@ fn bench(c: &mut Criterion) {
         "e13_analyze/cold_compile_over_analyze",
         cold_ns / analyze_ns,
         10.0 / 3.0,
+    );
+
+    // Linear in call depth: a chain four times as long may cost at most
+    // twice four times as much to analyze.
+    let chain_ns = |n: usize| {
+        median_analyze_ns(
+            9,
+            &lowered(&[ModuleSet::new().richwasm("chain", arith_chain(n))]),
+        )
+    };
+    let (short_ns, long_ns) = (chain_ns(100), chain_ns(400));
+    println!(
+        "e13: analyze arith_chain(100) {:.2}ms, arith_chain(400) {:.2}ms",
+        short_ns / 1e6,
+        long_ns / 1e6
+    );
+    criterion::acceptance(
+        "e13_analyze/analyze_flat_in_chain_length",
+        4.0 * short_ns / long_ns,
+        0.5,
     );
 }
 

@@ -20,7 +20,15 @@
 //! Wasm tree-walker). Cases with host imports skip the tree-walker
 //! (a second store would run the host closures again); the RichWasm
 //! interpreter still cross-checks them.
+//!
+//! Every entry invocation that completes normally is also checked
+//! against the analyzer's static fuel bounds: the bytecode VM's metered
+//! steps must be at least the export's `min_steps`, and at most its
+//! `max_steps` where that bound is finite. Runs that trap or exhaust
+//! their fuel are exempt, because the bounds only cover normal
+//! completion.
 
+use richwasm_repro::analyze::Bound;
 use richwasm_repro::engine::{
     Analysis, Artifact, Engine, EngineConfig, Instance, Invocation, PipelineError,
     PipelineErrorKind,
@@ -57,6 +65,9 @@ pub enum FailureKind {
     FuelExhausted,
     /// Reset + re-invoke produced a different agreed result.
     Nondeterminism,
+    /// A completed run's metered steps fell outside the analyzer's
+    /// static `min_steps`/`max_steps` bounds for the entry export.
+    StaticBound,
 }
 
 impl FailureKind {
@@ -70,11 +81,12 @@ impl FailureKind {
             FailureKind::Mismatch => "mismatch",
             FailureKind::FuelExhausted => "fuel_exhausted",
             FailureKind::Nondeterminism => "nondeterminism",
+            FailureKind::StaticBound => "static_bound",
         }
     }
 
     /// All kinds, in stats order.
-    pub const ALL: [FailureKind; 7] = [
+    pub const ALL: [FailureKind; 8] = [
         FailureKind::Rejected,
         FailureKind::Pipeline,
         FailureKind::RoundTrip,
@@ -82,6 +94,7 @@ impl FailureKind {
         FailureKind::Mismatch,
         FailureKind::FuelExhausted,
         FailureKind::Nondeterminism,
+        FailureKind::StaticBound,
     ];
 }
 
@@ -201,6 +214,28 @@ fn tier_mismatch(
     })
 }
 
+/// Checks a completed entry run's metered Wasm steps against the
+/// analyzer's static bounds for the entry export, and returns the
+/// violation, if any.
+fn bound_violation(artifact: &Artifact, inst: &Instance) -> Option<String> {
+    let steps = inst.wasm.as_ref()?.last_steps();
+    let (module, func) = (artifact.entry()?, artifact.entry_func());
+    if let Some(min) = artifact.static_min_steps(module, func) {
+        if steps < min {
+            return Some(format!(
+                "`{module}.{func}` completed in {steps} steps, below its static minimum {min}"
+            ));
+        }
+    }
+    let (_, report) = artifact.analysis().iter().find(|(n, _)| n == module)?;
+    match report.cost.export(func)?.max_steps {
+        Bound::Finite(max) if steps > max => Some(format!(
+            "`{module}.{func}` completed in {steps} steps, above its static maximum {max}"
+        )),
+        _ => None,
+    }
+}
+
 /// Runs one case end to end. See the module docs for the exact checks.
 pub fn run_case(prog: &FuzzProgram) -> CaseOutcome {
     let mut cfg = EngineConfig::new().analysis(Analysis::Deny).fuel(CASE_FUEL);
@@ -258,11 +293,13 @@ pub fn run_case(prog: &FuzzProgram) -> CaseOutcome {
         let mismatch = tree
             .as_mut()
             .and_then(|tree| tier_mismatch(&artifact, inst, tree, &run));
-        match mismatch {
-            Some(detail) => Err((FailureKind::Mismatch, detail)),
-            None => run
-                .map(|r| r.i32())
-                .map_err(|e| (classify(&e), e.to_string())),
+        if let Some(detail) = mismatch {
+            return Err((FailureKind::Mismatch, detail));
+        }
+        let out = run.map_err(|e| (classify(&e), e.to_string()))?;
+        match bound_violation(&artifact, inst) {
+            Some(detail) => Err((FailureKind::StaticBound, detail)),
+            None => Ok(out.i32()),
         }
     };
     let first = match invoke(&mut inst) {

@@ -5,11 +5,12 @@
 //! fuel-cost summary must be a usable, sound lower bound for the entry
 //! export.
 
-use richwasm_analyze::{reverify_module, Severity};
+use richwasm::syntax::Value;
+use richwasm_analyze::{reverify_module, Bound, Severity};
 use richwasm_bench::workloads::{
     arith_chain, churn, counter_client, counter_library, ml_tower, stash_client, stash_module,
 };
-use richwasm_repro::engine::{Analysis, Engine, EngineConfig, ModuleSet};
+use richwasm_repro::engine::{Analysis, Engine, EngineConfig, Exec, ModuleSet};
 
 /// Every scenario module set the test-suite scenarios (E1–E12) compile,
 /// under its scenario label.
@@ -150,6 +151,58 @@ fn entry_min_steps_is_a_true_interpreter_lower_bound() {
 
     let feasible = run(10_000_000).expect("a generous budget completes");
     assert_eq!(feasible.i32(), Some(25));
+}
+
+#[test]
+fn long_chain_bounds_are_exact_and_match_the_wasm_run() {
+    // arith_chain(n)'s `main` is straight-line code through n nested
+    // calls: every run takes exactly 6n − 1 Wasm steps, so the static
+    // minimum, the finite maximum and the metered run all coincide, and
+    // the call depth is the chain length. The bytecode VM recurses
+    // natively per Wasm call, and 400 unoptimised frames need more than
+    // the default test-thread stack.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(check_long_chains)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn check_long_chains() {
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
+    for n in [1u64, 2, 50, 137, 400] {
+        let steps = 6 * n - 1;
+        let set = ModuleSet::new().richwasm("c", arith_chain(n as usize));
+        let artifact = engine.compile(&set).unwrap();
+        assert_eq!(
+            artifact.static_min_steps("c", "main"),
+            Some(steps),
+            "n = {n}"
+        );
+        let (_, report) = artifact
+            .analysis()
+            .iter()
+            .find(|(name, _)| name == "c")
+            .expect("the chain module is analyzed");
+        let main = report
+            .cost
+            .exports
+            .iter()
+            .find_map(|(name, i)| (name == "main").then_some(*i))
+            .expect("main is exported");
+        assert_eq!(
+            report.cost.func(main).map(|c| c.max_steps),
+            Some(Bound::Finite(steps)),
+            "n = {n}"
+        );
+        assert_eq!(report.cost.max_call_depth, Some(n as u32), "n = {n}");
+
+        let mut inst = artifact.instantiate().unwrap();
+        let out = inst.invoke("c", "main", vec![Value::i32(7)]).unwrap();
+        assert_eq!(out.i32(), Some(7 * n as i32 + 1), "n = {n}");
+        assert_eq!(inst.wasm.as_ref().unwrap().last_steps(), steps, "n = {n}");
+    }
 }
 
 #[test]
