@@ -16,11 +16,25 @@
 //! * `differential_bump_dispatch` — per-invocation cost of the engine's
 //!   differential mode (both backends + comparison) against the raw
 //!   interpreter cost measured in E2.
+//!
+//! One acceptance gate:
+//!
+//! * `interp_over_wasm_compile` — a Wasm-bound compile type checks each
+//!   function body once, inside lowering, so it costs at most twice an
+//!   interpreter-only compile (which checks every body but lowers
+//!   nothing): t(`Exec::Interp`) / t(`Exec::Wasm`) ≥ 0.5 for a cold
+//!   compile of `ml_tower(6)` with analysis off, each `t` the median of
+//!   9 runs. An engine that checks every body in its `Typecheck` stage and
+//!   again while lowering scores about 0.37; checking once scores about
+//!   0.65.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm::syntax::Value;
-use richwasm_bench::workloads::{counter_client, counter_library, stash_client, stash_module};
-use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet};
+use richwasm_bench::median_of;
+use richwasm_bench::workloads::{
+    counter_client, counter_library, ml_tower, stash_client, stash_module,
+};
+use richwasm_repro::engine::{Analysis, Engine, EngineConfig, Exec, ModuleSet};
 
 fn stash_set() -> ModuleSet {
     ModuleSet::new()
@@ -82,6 +96,29 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
+
+    // A fresh engine per run keeps every compile cold.
+    let tower = ModuleSet::new().ml("tower", ml_tower(6));
+    let cold_compile_ns = |exec: Exec| {
+        median_of(9, || {
+            Engine::with_config(EngineConfig::new().exec(exec).analysis(Analysis::Off))
+                .compile(&tower)
+                .unwrap()
+        })
+        .as_nanos()
+        .max(1) as f64
+    };
+    let (interp_ns, wasm_ns) = (cold_compile_ns(Exec::Interp), cold_compile_ns(Exec::Wasm));
+    println!(
+        "e6: cold compile of ml_tower(6): interp-only {:.2}ms, wasm {:.2}ms",
+        interp_ns / 1e6,
+        wasm_ns / 1e6
+    );
+    criterion::acceptance(
+        "e6_pipeline/interp_over_wasm_compile",
+        interp_ns / wasm_ns,
+        0.5,
+    );
 }
 
 criterion_group!(benches, bench);

@@ -10,8 +10,12 @@
 //! Entry points:
 //!
 //! * [`check_module`] — checks a whole module, producing its [`ModuleEnv`];
+//! * [`check_module_decls`] — everything but the function bodies: the
+//!   [`ModuleEnv`], declared types and global initialisers. The Wasm
+//!   backend pairs it with one [`check_function_body`] per body, run as
+//!   it lowers that body, so a Wasm-bound compile checks each body once;
 //! * [`check_function_body`] — checks one instruction sequence against a
-//!   function type (used internally and by tests);
+//!   function type and returns the per-instruction trace lowering reads;
 //! * [`check_instantiation`] — validates a quantifier instantiation
 //!   against its telescope constraints.
 
@@ -211,13 +215,40 @@ pub fn module_env(m: &Module) -> Result<ModuleEnv, TypeError> {
 }
 
 /// Type checks a whole module (paper §4: function bodies, global
-/// initialisers, table entries). Returns the module environment on
-/// success.
+/// initialisers, table entries): [`check_module_decls`], then every
+/// function body in declaration order. Returns the module environment
+/// on success.
 ///
 /// # Errors
 ///
 /// Returns the first [`TypeError`] found.
 pub fn check_module(m: &Module) -> Result<ModuleEnv, TypeError> {
+    let env = check_module_decls(m)?;
+    for f in &m.funcs {
+        if let Func::Defined {
+            ty, locals, body, ..
+        } = f
+        {
+            check_function_body(&env, ty, locals, body)?;
+        }
+    }
+    Ok(env)
+}
+
+/// Checks everything of a module except its function bodies: the
+/// [`ModuleEnv`] (including table entries), the well-formedness of every
+/// declared function and global type, and the global initialisers.
+///
+/// A module passes [`check_module`] iff it passes this check and
+/// [`check_function_body`] accepts each defined function's body under
+/// the returned env. The Wasm backend relies on this: it runs the body
+/// check itself, once per body, to get the trace it lowers from.
+///
+/// # Errors
+///
+/// Returns the first [`TypeError`] found, the same one [`check_module`]
+/// would report if the declarations are at fault.
+pub fn check_module_decls(m: &Module) -> Result<ModuleEnv, TypeError> {
     let env = module_env(m)?;
     // Declared types must be well-formed in the empty kind context.
     let mut ctx = KindCtx::new();
@@ -232,15 +263,6 @@ pub fn check_module(m: &Module) -> Result<ModuleEnv, TypeError> {
     for (gi, g) in m.globals.iter().enumerate() {
         if let GlobalKind::Defined { ty, init, .. } = &g.kind {
             check_const_init(&env, gi, init, ty)?;
-        }
-    }
-    // Function bodies.
-    for f in &m.funcs {
-        if let Func::Defined {
-            ty, locals, body, ..
-        } = f
-        {
-            check_function_body(&env, ty, locals, body)?;
         }
     }
     Ok(env)
@@ -366,6 +388,29 @@ mod tests {
             ..Module::default()
         };
         assert!(check_module(&bad).is_err());
+        assert_eq!(
+            check_module_decls(&bad).unwrap_err(),
+            check_module(&bad).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn decls_check_leaves_bodies_to_check_function_body() {
+        // `() → ()` whose body leaves an i32 behind.
+        let ty = FunType::mono(vec![], vec![]);
+        let body = vec![Instr::i32(7)];
+        let m = Module {
+            funcs: vec![Func::Defined {
+                exports: vec![],
+                ty: ty.clone(),
+                locals: vec![],
+                body: body.clone(),
+            }],
+            ..Module::default()
+        };
+        let env = check_module_decls(&m).expect("the declarations are fine");
+        let err = check_function_body(&env, &ty, &[], &body).unwrap_err();
+        assert_eq!(check_module(&m).unwrap_err(), err);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! back via `--seed` reproduces the exact sweep, and each failing case
 //! additionally names its own `(seed, index)` pair in the reproducer.
 //!
+//! Each adversarial mutant must be rejected by `check_module` and, with
+//! the same error, by a cold `Exec::Wasm` engine compile of it alone.
+//!
 //! Exit status: 0 iff every well-typed case passed every check AND
 //! every adversarial mutant was rejected.
 
@@ -20,10 +23,14 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use proptest::test_runner::env_seed;
+use richwasm::syntax::Module;
 use richwasm::typecheck::{check_module, coverage_of_module};
 use richwasm_fuzz::{
     gen_program, minimize_module, mutate, pick_tier, run_case, CaseOutcome, CorpusStats,
     FuzzProgram, MutationKind, Rng, SourceModule,
+};
+use richwasm_repro::engine::{
+    Analysis, Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind, Stage,
 };
 
 const DEFAULT_SEED: u64 = 0x5269_6368_5761_736d; // "RichWasm"
@@ -35,6 +42,30 @@ struct Args {
     stats_json: Option<PathBuf>,
     artifacts_dir: PathBuf,
     max_failures: u64,
+}
+
+/// Checks that `mutant` is rejected twice over: by [`check_module`], and
+/// by a cold `Exec::Wasm` compile of it alone, which must report the
+/// checker's exact error as a `Typecheck`-stage type error. The engine
+/// leaves body checks to lowering on that path, so a body that slipped
+/// past its declarations-only stage would show up here.
+fn reject_mutant(engine: &Engine, mutant: &Module) -> Result<(), String> {
+    let Err(expected) = check_module(mutant) else {
+        return Err("ACCEPTED by the checker (soundness hole)".into());
+    };
+    match engine.compile(&ModuleSet::new().richwasm("mutant", mutant.clone())) {
+        Err(PipelineError {
+            stage: Stage::Typecheck,
+            kind: PipelineErrorKind::Type(e),
+            ..
+        }) if e == expected => Ok(()),
+        Ok(_) => Err(format!(
+            "ACCEPTED by the Exec::Wasm engine, which the checker rejects with: {expected}"
+        )),
+        Err(e) => Err(format!(
+            "the Exec::Wasm engine reported `{e}`, the checker `{expected}`"
+        )),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -172,6 +203,7 @@ fn main() {
     // Cycle mutation kinds over freshly generated programs until the
     // requested number of *applied* mutants is reached (some kinds
     // don't apply to some programs).
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).analysis(Analysis::Off));
     let mut applied = 0u64;
     let mut attempt = 0u64;
     while applied < args.adversarial && attempt < args.adversarial * 20 {
@@ -185,18 +217,15 @@ fn main() {
                 continue;
             };
             applied += 1;
-            let rejected = check_module(&mutant).is_err();
-            stats.record_mutant(kind, rejected);
-            if !rejected {
-                eprintln!(
-                    "fuzz: mutant {attempt} [{}] ACCEPTED by the checker (soundness hole)",
-                    kind.name()
-                );
+            let verdict = reject_mutant(&engine, &mutant);
+            stats.record_mutant(kind, verdict.is_ok());
+            if let Err(why) = verdict {
+                eprintln!("fuzz: mutant {attempt} [{}] {why}", kind.name());
                 write_reproducer(
                     &args.artifacts_dir,
                     &format!("mutant_{attempt}_{}.txt", kind.name()),
                     &format!(
-                        "seed: {:#x}\nmutation: {}\n\n-- mutant --\n{mutant}\n(ast) {mutant:?}\n\n{}",
+                        "seed: {:#x}\nmutation: {}\nverdict: {why}\n\n-- mutant --\n{mutant}\n(ast) {mutant:?}\n\n{}",
                         args.seed,
                         kind.name(),
                         prog.describe()

@@ -5,9 +5,15 @@ use std::fmt;
 /// An error raised by the RichWasm → Wasm compiler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LowerError {
-    /// The module failed RichWasm type checking (lowering is
-    /// type-directed, so this is a precondition).
-    TypeCheck(String),
+    /// A module failed RichWasm type checking. Lowering is type-directed:
+    /// it checks each function body just before lowering it, and lowers
+    /// from the trace that check produces.
+    TypeCheck {
+        /// Index of the failing module in the set being lowered.
+        module: usize,
+        /// The checker's diagnostic.
+        error: richwasm::TypeError,
+    },
     /// A size bound could not be resolved to a constant — the paper's
     /// boxing fallback, which this reproduction does not implement (our
     /// frontends always produce resolvable bounds).
@@ -19,7 +25,9 @@ pub enum LowerError {
 impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LowerError::TypeCheck(e) => write!(f, "type error during lowering: {e}"),
+            LowerError::TypeCheck { module, error } => {
+                write!(f, "type error in module {module} during lowering: {error}")
+            }
             LowerError::UnresolvableSize(e) => {
                 write!(f, "unresolvable size bound (boxing unimplemented): {e}")
             }
@@ -29,9 +37,3 @@ impl fmt::Display for LowerError {
 }
 
 impl std::error::Error for LowerError {}
-
-impl From<richwasm::TypeError> for LowerError {
-    fn from(e: richwasm::TypeError) -> Self {
-        LowerError::TypeCheck(e.to_string())
-    }
-}

@@ -112,7 +112,8 @@ pub fn val_slots(t: ValType) -> usize {
 /// Byte size of a type's slot form (what struct-field offsets are made
 /// of: each declared field size, in bytes, rounded to whole slots).
 pub fn byte_size(ctx: &KindCtx, t: &Type) -> Result<u64, LowerError> {
-    let bits = size_of_type(ctx, t).map_err(|e| LowerError::TypeCheck(e.to_string()))?;
+    let bits =
+        size_of_type(ctx, t).map_err(|e| LowerError::Internal(format!("size of {t}: {e}")))?;
     let bits = if bits.is_closed() {
         bits.eval_closed().expect("closed")
     } else {

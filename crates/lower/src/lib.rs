@@ -44,6 +44,4 @@ pub mod lower;
 pub mod runtime;
 
 pub use error::LowerError;
-pub use lower::{
-    lower_modules, lower_modules_with_envs, lower_modules_with_plan, LinkPlan, Session,
-};
+pub use lower::{lower_modules, lower_modules_timed, lower_modules_with_plan, LinkPlan, Session};

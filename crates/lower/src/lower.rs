@@ -5,11 +5,13 @@
 //! globally. Each RichWasm module becomes one Wasm module importing the
 //! generated runtime's memory, table, `malloc` and `free`.
 
+use std::time::{Duration, Instant};
+
 use richwasm::env::{KindCtx, ModuleEnv, TypeBound};
 use richwasm::sizing::size_of_type;
 use richwasm::syntax as rw;
 use richwasm::syntax::{Func as RwFunc, GlobalKind, HeapType, Pretype, Qual};
-use richwasm::typecheck::{check_function_body, check_module, push_telescope, InstrInfo};
+use richwasm::typecheck::{check_function_body, check_module_decls, push_telescope, InstrInfo};
 use richwasm_wasm::ast as w;
 use richwasm_wasm::ast::{BlockType, ExportKind, FuncType, ImportKind, ValType, WInstr, Width};
 
@@ -35,7 +37,7 @@ struct TableEntry {
 /// shared function table's layout (every module's entries concatenated in
 /// instantiation order) and each module's base offset into it.
 ///
-/// Splitting the plan out of [`lower_modules_with_envs`] makes the
+/// Splitting the plan out of [`lower_modules_with_plan`] makes the
 /// whole-program analysis a reusable artifact: a compile-once/run-many
 /// driver can compute it alongside the checker's [`ModuleEnv`]s and keep
 /// both for the lifetime of the compiled program.
@@ -111,42 +113,57 @@ impl Session {
 }
 
 /// Lowers a set of RichWasm modules together. See [`Session::lower`].
+///
+/// Checks every module's declarations first, then lowers the set through
+/// [`lower_modules_with_plan`], which checks each function body once.
 pub fn lower_modules(
     modules: &[(String, rw::Module)],
 ) -> Result<Vec<(String, w::Module)>, LowerError> {
-    // Type check everything (lowering is type-directed).
-    let mut envs = Vec::new();
-    for (_, m) in modules {
-        envs.push(check_module(m)?);
-    }
-    lower_modules_with_envs(modules, &envs)
+    let envs = modules
+        .iter()
+        .enumerate()
+        .map(|(module, (_, m))| {
+            check_module_decls(m).map_err(|error| LowerError::TypeCheck { module, error })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    lower_modules_with_plan(modules, &envs, &LinkPlan::compute(modules))
 }
 
-/// Lowers modules whose [`ModuleEnv`]s were already produced by
-/// [`check_module`], skipping the redundant re-check. Callers that have
-/// just type checked (e.g. the pipeline driver) use this to avoid paying
-/// the substructural check twice.
-pub fn lower_modules_with_envs(
-    modules: &[(String, rw::Module)],
-    envs: &[ModuleEnv],
-) -> Result<Vec<(String, w::Module)>, LowerError> {
-    let plan = LinkPlan::compute(modules);
-    lower_modules_with_plan(modules, envs, &plan)
-}
-
-/// Lowers modules given both their checked [`ModuleEnv`]s and a
-/// precomputed whole-program [`LinkPlan`]. This is the innermost entry
-/// point: it re-runs no static analysis at all.
+/// Lowers modules given their [`ModuleEnv`]s and a precomputed
+/// whole-program [`LinkPlan`]. See [`lower_modules_timed`].
 ///
 /// # Errors
 ///
-/// [`LowerError::Internal`] when the envs or the plan do not match the
-/// module set, plus the usual type-directed lowering failures.
+/// As [`lower_modules_timed`].
 pub fn lower_modules_with_plan(
     modules: &[(String, rw::Module)],
     envs: &[ModuleEnv],
     plan: &LinkPlan,
 ) -> Result<Vec<(String, w::Module)>, LowerError> {
+    lower_modules_timed(modules, envs, plan).map(|(out, _)| out)
+}
+
+/// Lowers modules given their [`ModuleEnv`]s (from
+/// [`check_module_decls`] or [`richwasm::typecheck::check_module`]) and a
+/// precomputed whole-program [`LinkPlan`]. This is the innermost entry
+/// point. The only static analysis it runs is one
+/// [`check_function_body`] per function body and per allocating global
+/// initialiser, just before lowering it: lowering reads that check's
+/// trace, and drops it once the body is lowered.
+///
+/// Returns the lowered modules (see [`Session::lower`]) and the time
+/// spent in those checks, which a caller can report as type checking.
+///
+/// # Errors
+///
+/// [`LowerError::TypeCheck`] for the first body that fails its check,
+/// [`LowerError::Internal`] when the envs or the plan do not match the
+/// module set, plus the usual type-directed lowering failures.
+pub fn lower_modules_timed(
+    modules: &[(String, rw::Module)],
+    envs: &[ModuleEnv],
+    plan: &LinkPlan,
+) -> Result<(Vec<(String, w::Module)>, Duration), LowerError> {
     if modules.len() != envs.len() {
         return Err(LowerError::Internal(format!(
             "{} modules but {} envs",
@@ -162,12 +179,26 @@ pub fn lower_modules_with_plan(
         )));
     }
 
+    let mut check_time = Duration::ZERO;
     let mut out = vec![(RUNTIME_NAME.to_string(), runtime_module(plan.table_len()))];
     for (mi, (name, m)) in modules.iter().enumerate() {
-        let lowered = lower_module(m, &envs[mi], plan.table_bases[mi], &plan.table_entries)?;
+        let mut check = |ty: &rw::FunType, locals: &[rw::Size], body: &[rw::Instr]| {
+            let t0 = Instant::now();
+            let trace = check_function_body(&envs[mi], ty, locals, body)
+                .map_err(|error| LowerError::TypeCheck { module: mi, error });
+            check_time += t0.elapsed();
+            trace
+        };
+        let lowered = lower_module(
+            m,
+            &envs[mi],
+            plan.table_bases[mi],
+            &plan.table_entries,
+            &mut check,
+        )?;
         out.push((name.clone(), lowered));
     }
-    Ok(out)
+    Ok((out, check_time))
 }
 
 fn lower_module(
@@ -175,6 +206,13 @@ fn lower_module(
     env: &ModuleEnv,
     table_base: u32,
     table_entries: &[TableEntry],
+    // Checks one body against its type and returns the trace to lower it
+    // from.
+    check: &mut impl FnMut(
+        &rw::FunType,
+        &[rw::Size],
+        &[rw::Instr],
+    ) -> Result<Vec<InstrInfo>, LowerError>,
 ) -> Result<w::Module, LowerError> {
     let mut wm = w::Module::default();
 
@@ -316,7 +354,7 @@ fn lower_module(
             ty, locals, body, ..
         } = f
         {
-            let trace = check_function_body(env, ty, locals, body)?;
+            let trace = check(ty, locals, body)?;
             let def = lower_function(
                 env,
                 ty,
@@ -343,7 +381,7 @@ fn lower_module(
         let mut start_body = Vec::new();
         for (gi, init, pty) in &deferred_inits {
             let ity = rw::FunType::mono(vec![], vec![pty.clone().with_qual(Qual::Unr)]);
-            let trace = check_function_body(env, &ity, &[], init)?;
+            let trace = check(&ity, &[], init)?;
             let def = lower_function(
                 env,
                 &ity,
@@ -492,7 +530,8 @@ fn lower_function(
     let mut slot_map = Vec::new();
     let mut next = n_params;
     for p in &ty.arrow.params {
-        let bits = size_of_type(&ctx, p).map_err(|e| LowerError::TypeCheck(e.to_string()))?;
+        let bits =
+            size_of_type(&ctx, p).map_err(|e| LowerError::Internal(format!("size of {p}: {e}")))?;
         let bits = if bits.is_closed() {
             bits.eval_closed().expect("closed")
         } else {

@@ -6,7 +6,8 @@
 use richwasm::interp::Runtime;
 use richwasm::syntax::instr::Block;
 use richwasm::syntax::*;
-use richwasm_lower::lower_modules;
+use richwasm::typecheck::check_module;
+use richwasm_lower::{lower_modules, LowerError};
 use richwasm_wasm::exec::{Val, WasmLinker};
 use richwasm_wasm::validate_module;
 
@@ -549,4 +550,30 @@ fn binary_encoding_of_lowered_module() {
         assert_eq!(&bytes[..4], b"\0asm");
         assert!(bytes.len() > 8);
     }
+}
+
+#[test]
+fn a_body_error_names_its_module_and_carries_the_checker_error() {
+    // Lowering checks each body as it lowers it; a failing body comes back
+    // as the checker's own error, tagged with its module's index.
+    let main = |body| Module {
+        funcs: vec![Func::Defined {
+            exports: vec!["main".into()],
+            ty: FunType::mono(vec![], vec![i32t()]),
+            locals: vec![],
+            body,
+        }],
+        ..Module::default()
+    };
+    let good = main(vec![Instr::i32(1)]);
+    let bad = main(vec![Instr::i32(1), Instr::i32(2)]);
+    let expected = check_module(&bad).unwrap_err();
+    let err = lower_modules(&[("good".into(), good), ("bad".into(), bad)]).unwrap_err();
+    assert_eq!(
+        err,
+        LowerError::TypeCheck {
+            module: 1,
+            error: expected
+        }
+    );
 }

@@ -63,14 +63,14 @@ use richwasm::env::ModuleEnv;
 use richwasm::error::{RuntimeError, TypeError};
 use richwasm::interp::{InvokeResult, Runtime};
 use richwasm::syntax::{self, FunType, NumType, Pretype, Value};
-use richwasm::typecheck::check_module;
+use richwasm::typecheck::{check_module, check_module_decls};
 use richwasm_analyze::{
     analyze_module, AnalysisReport, AnalyzeError, Bound, CostReport, Diagnostic, FuncCost, Pass,
     Severity,
 };
 use richwasm_l3::{compile_module as compile_l3, L3Error, L3Module};
 use richwasm_lower::lower::RUNTIME_NAME;
-use richwasm_lower::{lower_modules_with_plan, LinkPlan, LowerError};
+use richwasm_lower::{lower_modules_timed, LinkPlan, LowerError};
 use richwasm_ml::{compile_module as compile_ml, MlError, MlModule};
 use richwasm_wasm::ast as w;
 use richwasm_wasm::binary::encode_module;
@@ -2519,10 +2519,10 @@ impl Engine {
     fn compile_cold(&self, set: &ModuleSet, key: CacheKey) -> Result<Artifact, PipelineError> {
         let config = &self.config;
 
-        // Lowering is type-directed: `Session` re-checks whatever it is
-        // given, so an unchecked Wasm build is impossible by construction.
-        // Reject the combination instead of silently re-enabling checks
-        // under a different stage name.
+        // Lowering is type-directed: it checks each body to get the trace
+        // it lowers from, so an unchecked Wasm build is impossible by
+        // construction. Reject the combination instead of silently
+        // re-enabling checks.
         if !config.typecheck && config.exec.wants_wasm() {
             return Err(PipelineError::new(
                 Stage::Typecheck,
@@ -2605,6 +2605,11 @@ impl Engine {
         // at link time, not against the provider's env), so the per-module
         // work fans out across scoped threads. Results come back in source
         // order; the first error in source order wins.
+        //
+        // A Wasm-bound compile checks only the declarations here: lowering
+        // checks each function body once, just before lowering it, and
+        // lowers from that check's trace (DESIGN §4).
+        let bodies_in_lowering = config.typecheck && config.exec.wants_wasm();
         enum Checked {
             Rich(syntax::Module, Option<ModuleEnv>, Duration, Duration),
             Wasm(Box<w::Module>, Duration),
@@ -2628,12 +2633,15 @@ impl Engine {
             };
             let frontend = t0.elapsed();
             let t1 = Instant::now();
-            let env = if config.typecheck {
-                Some(check_module(&m).map_err(|e| {
-                    PipelineError::new(Stage::Typecheck, Some(name), PipelineErrorKind::Type(e))
-                })?)
-            } else {
+            let env = if !config.typecheck {
                 None
+            } else {
+                let checked = if bodies_in_lowering {
+                    check_module_decls(&m)
+                } else {
+                    check_module(&m)
+                };
+                Some(checked.map_err(|e| type_error(name, e))?)
             };
             Ok(Checked::Rich(m, env, frontend, t1.elapsed()))
         };
@@ -2653,6 +2661,19 @@ impl Engine {
                     .collect()
             })
         };
+        // When bodies are left to lowering, an error must still be the one
+        // a full check of every module in source order would report: a
+        // body error in an earlier module beats a later module's frontend,
+        // declaration or lowering error. This path is cold, so it simply
+        // re-runs the full check on the modules before the failure.
+        let first_body_error = |modules: &[(String, syntax::Module)]| {
+            if !bodies_in_lowering {
+                return None;
+            }
+            modules
+                .iter()
+                .find_map(|(name, m)| check_module(m).err().map(|e| type_error(name, e)))
+        };
         let mut modules = Vec::with_capacity(set.sources.len());
         let mut decoded = Vec::new();
         let mut envs = Vec::new();
@@ -2660,18 +2681,41 @@ impl Engine {
         let mut decode_total = Duration::ZERO;
         let mut typecheck_total = Duration::ZERO;
         for ((name, _), result) in set.sources.iter().zip(results) {
-            match result? {
-                Checked::Rich(m, env, frontend, typecheck) => {
+            match result {
+                Err(e) => return Err(first_body_error(&modules).unwrap_or(e)),
+                Ok(Checked::Rich(m, env, frontend, typecheck)) => {
                     modules.push((name.clone(), m));
                     envs.extend(env);
                     frontend_total += frontend;
                     typecheck_total += typecheck;
                 }
-                Checked::Wasm(wm, decode) => {
+                Ok(Checked::Wasm(wm, decode)) => {
                     decoded.push((name.clone(), *wm));
                     decode_total += decode;
                 }
             }
+        }
+
+        // Stage 3: lower whole-program. The body checks inside lowering
+        // are timed apart and filed under `Typecheck`.
+        let mut link_plan = LinkPlan::default();
+        let mut lowered_rich = Vec::new();
+        let mut lower_time = None;
+        if config.exec.wants_wasm() && !modules.is_empty() {
+            let t0 = Instant::now();
+            link_plan = LinkPlan::compute(&modules);
+            let (out, body_checks) =
+                lower_modules_timed(&modules, &envs, &link_plan).map_err(|e| match e {
+                    LowerError::TypeCheck { module, error } => {
+                        type_error(&modules[module].0, error)
+                    }
+                    e => first_body_error(&modules).unwrap_or_else(|| {
+                        PipelineError::new(Stage::Lower, None, PipelineErrorKind::Lower(e))
+                    }),
+                })?;
+            lowered_rich = out;
+            lower_time = Some(t0.elapsed().saturating_sub(body_checks));
+            typecheck_total += body_checks;
         }
         if !modules.is_empty() || decoded.is_empty() {
             timings.add(Stage::Frontend, frontend_total);
@@ -2682,28 +2726,20 @@ impl Engine {
         if !decoded.is_empty() {
             timings.add(Stage::Decode, decode_total);
         }
+        if let Some(lower_time) = lower_time {
+            timings.add(Stage::Lower, lower_time);
+        }
 
-        // Stages 3–5: lower whole-program, validate, encode. A set with
-        // no source-language modules generates no runtime module (decoded
-        // binaries are self-contained — the one from a previous compile
-        // is already among them when it is needed); otherwise the
-        // generated runtime instantiates first, then every module in
-        // declaration order (lowered or decoded), so imports resolve by
-        // name exactly as between lowered guests.
-        let mut link_plan = LinkPlan::default();
+        // Stages 4–5: validate, encode. A set with no source-language
+        // modules generates no runtime module (decoded binaries are
+        // self-contained — the one from a previous compile is already
+        // among them when it is needed); otherwise the generated runtime
+        // instantiates first, then every module in declaration order
+        // (lowered or decoded), so imports resolve by name exactly as
+        // between lowered guests.
         let mut lowered = Vec::new();
         let mut binaries = Vec::new();
         if config.exec.wants_wasm() {
-            let mut lowered_rich = Vec::new();
-            if !modules.is_empty() {
-                let t0 = Instant::now();
-                link_plan = LinkPlan::compute(&modules);
-                lowered_rich =
-                    lower_modules_with_plan(&modules, &envs, &link_plan).map_err(|e| {
-                        PipelineError::new(Stage::Lower, None, PipelineErrorKind::Lower(e))
-                    })?;
-                timings.add(Stage::Lower, t0.elapsed());
-            }
             let mut rich_iter = lowered_rich.into_iter();
             if let Some(runtime) = rich_iter.next() {
                 debug_assert_eq!(runtime.0, RUNTIME_NAME);
@@ -2786,6 +2822,12 @@ impl Engine {
             }),
         })
     }
+}
+
+/// A RichWasm type error in module `name`, as the `Typecheck` stage
+/// reports it.
+fn type_error(name: &str, e: TypeError) -> PipelineError {
+    PipelineError::new(Stage::Typecheck, Some(name), PipelineErrorKind::Type(e))
 }
 
 /// Applies the [`Analysis`] policy to one module's report: under

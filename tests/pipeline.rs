@@ -8,11 +8,13 @@
 //! default differential mode, so backend agreement is checked on every
 //! invocation rather than hand-wired per test.
 
-use richwasm::syntax::Value;
+use richwasm::syntax::{FunType, Func, Global, GlobalKind, Instr, Module, NumType, Pretype, Value};
 use richwasm_bench::workloads;
 use richwasm_l3::{L3Expr, L3Fun, L3Module, L3Op, L3Ty};
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlModule, MlTy};
-use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, Stage};
+use richwasm_repro::engine::{
+    Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind, Stage,
+};
 
 #[test]
 fn ml_program_through_full_pipeline() {
@@ -437,4 +439,119 @@ fn gc_under_pressure_in_counter_scenario() {
     }
     let out = inst.invoke("app", "total", vec![Value::Unit]).unwrap();
     assert_eq!(out.i32(), Some(20));
+}
+
+/// A module whose only function type mentions an unbound type variable:
+/// its declarations are ill-formed, whatever its body says.
+fn ill_formed_functype() -> Module {
+    Module {
+        funcs: vec![Func::Defined {
+            exports: vec!["main".into()],
+            ty: FunType::mono(vec![Pretype::Var(0).unr()], vec![]),
+            locals: vec![],
+            body: vec![],
+        }],
+        ..Module::default()
+    }
+}
+
+/// A module whose first global initialiser reads the second global.
+fn init_reads_later_global() -> Module {
+    let global = |init| Global {
+        exports: vec![],
+        kind: GlobalKind::Defined {
+            mutable: false,
+            ty: Pretype::Num(NumType::I32),
+            init,
+        },
+    };
+    Module {
+        globals: vec![
+            global(vec![Instr::GetGlobal(1)]),
+            global(vec![Instr::i32(0)]),
+        ],
+        ..Module::default()
+    }
+}
+
+/// An ML module the ML frontend rejects (an unbound variable).
+fn ml_unbound_variable() -> MlModule {
+    MlModule {
+        funs: vec![MlFun {
+            name: "main".into(),
+            export: true,
+            tyvars: 0,
+            params: vec![],
+            ret: MlTy::Int,
+            body: MlExpr::Var("nowhere".into()),
+        }],
+        ..MlModule::default()
+    }
+}
+
+#[test]
+fn static_errors_are_identical_in_every_exec_mode() {
+    // Where each body is checked depends on the mode (DESIGN §4), but the
+    // reported error may not: it is the first frontend or full-check
+    // error in source order, whichever mode compiles the set.
+    let cases: Vec<(&str, ModuleSet, Stage, &str)> = vec![
+        (
+            "Fig. 1 buggy stash (body error)",
+            ModuleSet::new().ml("ml", workloads::stash_module(true)),
+            Stage::Typecheck,
+            "ml",
+        ),
+        (
+            "ill-formed function type (declarations error)",
+            ModuleSet::new().richwasm("decl", ill_formed_functype()),
+            Stage::Typecheck,
+            "decl",
+        ),
+        (
+            "global initialiser reads a later global",
+            ModuleSet::new().richwasm("glob", init_reads_later_global()),
+            Stage::Typecheck,
+            "glob",
+        ),
+        (
+            "body error in module 1, declarations error in module 2",
+            ModuleSet::new()
+                .ml("ml", workloads::stash_module(true))
+                .richwasm("decl", ill_formed_functype())
+                .entry("ml"),
+            Stage::Typecheck,
+            "ml",
+        ),
+        (
+            "body error in module 1, ML frontend error in module 2",
+            ModuleSet::new()
+                .ml("ml", workloads::stash_module(true))
+                .ml("bad", ml_unbound_variable())
+                .entry("ml"),
+            Stage::Typecheck,
+            "ml",
+        ),
+    ];
+    let compile_err = |exec: Exec, set: &ModuleSet| -> PipelineError {
+        Engine::with_config(EngineConfig::new().exec(exec))
+            .compile(set)
+            .expect_err("the set is ill-typed")
+    };
+    for (what, set, stage, module) in &cases {
+        let interp = compile_err(Exec::Interp, set);
+        assert_eq!(interp.stage, *stage, "{what}: {interp}");
+        assert_eq!(interp.module.as_deref(), Some(*module), "{what}: {interp}");
+        let PipelineErrorKind::Type(expected) = &interp.kind else {
+            panic!("{what}: expected a type error, got {interp}");
+        };
+        for exec in [Exec::Wasm, Exec::Differential] {
+            let err = compile_err(exec, set);
+            assert_eq!(err.stage, interp.stage, "{what} under {exec:?}: {err}");
+            assert_eq!(err.module, interp.module, "{what} under {exec:?}: {err}");
+            match &err.kind {
+                PipelineErrorKind::Type(e) => assert_eq!(e, expected, "{what} under {exec:?}"),
+                other => panic!("{what} under {exec:?}: expected {expected}, got {other}"),
+            }
+        }
+    }
 }
