@@ -13,7 +13,8 @@
 //! * `decode_only` — `decode_module` over every scenario binary;
 //! * `decode_validate` — the full untrusted-bytes admission path;
 //! * `artifact_deserialize` — a whole serialized artifact loaded back
-//!   (framing + checksum + decode + validate per module);
+//!   (framing + checksum + decode + validate per module, then the
+//!   bytecode rebuilt from the validated modules);
 //! * `full_pipeline_cold` — the same modules from source on a fresh
 //!   engine.
 //!

@@ -19,10 +19,12 @@
 //! * Type-level instructions (`qualify`, `mem.pack`, `rec.fold`,
 //!   `cap.split`, …) are erased.
 //!
-//! The entry point is [`lower::Session`]: it lowers a set of RichWasm
+//! The entry points are [`lower_modules`], which lowers a set of RichWasm
 //! modules together (whole-program, so the shared table layout and
 //! indirect-call shapes are known) and produces Wasm modules ready for
-//! `richwasm_wasm::exec::WasmLinker`.
+//! `richwasm_wasm::exec::WasmLinker`, and [`lower_modules_timed`], the
+//! same over declarations the caller already checked and a precomputed
+//! [`LinkPlan`], which also reports the time spent checking bodies.
 //!
 //! ## Deviations from the paper (documented in DESIGN.md)
 //!
@@ -44,4 +46,4 @@ pub mod lower;
 pub mod runtime;
 
 pub use error::LowerError;
-pub use lower::{lower_modules, lower_modules_timed, lower_modules_with_plan, LinkPlan, Session};
+pub use lower::{lower_modules, lower_modules_timed, lower_modules_with_plan, LinkPlan};

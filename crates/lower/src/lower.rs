@@ -1,6 +1,6 @@
 //! The RichWasm → Wasm compiler (paper §6).
 //!
-//! Lowering is whole-program ([`Session`]): the shared function table's
+//! Lowering is whole-program ([`lower_modules`]): the shared function table's
 //! layout and the set of possible indirect-call shapes must be known
 //! globally. Each RichWasm module becomes one Wasm module importing the
 //! generated runtime's memory, table, `malloc` and `free`.
@@ -81,41 +81,18 @@ impl LinkPlan {
     }
 }
 
-/// A whole-program lowering session.
-#[derive(Debug, Default)]
-pub struct Session {
-    modules: Vec<(String, rw::Module)>,
-}
-
-impl Session {
-    /// Creates an empty session.
-    pub fn new() -> Session {
-        Session::default()
-    }
-
-    /// Adds a module (instantiation order = addition order).
-    pub fn add(&mut self, name: impl Into<String>, m: rw::Module) -> &mut Session {
-        self.modules.push((name.into(), m));
-        self
-    }
-
-    /// Lowers all modules. The result starts with the runtime module
-    /// (named [`RUNTIME_NAME`]) followed by the lowered modules in
-    /// addition order — instantiate them in exactly this order.
-    ///
-    /// # Errors
-    ///
-    /// Type errors (lowering is type-directed) and unresolvable size
-    /// bounds are reported as [`LowerError`].
-    pub fn lower(&self) -> Result<Vec<(String, w::Module)>, LowerError> {
-        lower_modules(&self.modules)
-    }
-}
-
-/// Lowers a set of RichWasm modules together. See [`Session::lower`].
+/// Lowers a set of RichWasm modules together. The result starts with
+/// the runtime module (named [`RUNTIME_NAME`]) followed by the lowered
+/// modules in the order of `modules` — instantiate them in exactly this
+/// order.
 ///
 /// Checks every module's declarations first, then lowers the set through
 /// [`lower_modules_with_plan`], which checks each function body once.
+///
+/// # Errors
+///
+/// Type errors (lowering is type-directed) and unresolvable size bounds
+/// are reported as [`LowerError`].
 pub fn lower_modules(
     modules: &[(String, rw::Module)],
 ) -> Result<Vec<(String, w::Module)>, LowerError> {
@@ -151,7 +128,7 @@ pub fn lower_modules_with_plan(
 /// initialiser, just before lowering it: lowering reads that check's
 /// trace, and drops it once the body is lowered.
 ///
-/// Returns the lowered modules (see [`Session::lower`]) and the time
+/// Returns the lowered modules (see [`lower_modules`]) and the time
 /// spent in those checks, which a caller can report as type checking.
 ///
 /// # Errors
@@ -467,7 +444,7 @@ fn value_consts(v: &rw::Value) -> Vec<WInstr> {
     }
 }
 
-/// Session-level references shared by all function lowerings.
+/// Whole-program references shared by all function lowerings.
 #[derive(Clone, Copy)]
 struct Shared<'a> {
     table_base: u32,

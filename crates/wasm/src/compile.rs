@@ -64,12 +64,6 @@ use std::sync::Arc;
 
 use crate::ast::*;
 
-/// Version tag of the serialised bytecode format (see
-/// [`encode_compiled`]). Bump on any change to [`Op`] or its encoding;
-/// a mismatch makes [`decode_compiled`] fail, and embedders fall back to
-/// recompiling from the decoded module.
-pub const BYTECODE_VERSION: u16 = 3;
-
 /// A pre-resolved branch: jump to `pc` after keeping the top `keep`
 /// values and truncating the operand stack to absolute `height`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1206,975 +1200,4 @@ impl Compiler<'_> {
         }
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------
-// Serialisation: the payload of a `.rwart` v3 bytecode section.
-// ---------------------------------------------------------------------
-
-/// A failure decoding a serialised [`CompiledModule`] — a stale format
-/// version or corrupt bytes. Embedders treat it as "recompile from the
-/// decoded module", never as fatal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError(pub String);
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "bytecode decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-fn codec_err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
-    Err(CodecError(msg.into()))
-}
-
-/// Serialises a compiled module (deterministic, little-endian, prefixed
-/// with [`BYTECODE_VERSION`]). The inverse of [`decode_compiled`].
-pub fn encode_compiled(cm: &CompiledModule, out: &mut Vec<u8>) {
-    out.extend_from_slice(&BYTECODE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(cm.funcs.len() as u32).to_le_bytes());
-    for f in &cm.funcs {
-        match f {
-            None => out.push(0),
-            Some(cf) => {
-                out.push(1);
-                out.extend_from_slice(&cf.nparams.to_le_bytes());
-                out.extend_from_slice(&cf.nlocals.to_le_bytes());
-                out.extend_from_slice(&cf.max_stack.to_le_bytes());
-                out.extend_from_slice(&(cf.result_types.len() as u32).to_le_bytes());
-                for t in &cf.result_types {
-                    out.push(valtype_tag(*t));
-                }
-                out.extend_from_slice(&(cf.code.len() as u32).to_le_bytes());
-                for op in &cf.code {
-                    encode_op(op, out);
-                }
-            }
-        }
-    }
-}
-
-/// Deserialises the output of [`encode_compiled`].
-///
-/// # Errors
-///
-/// [`CodecError`] on a version mismatch or malformed bytes; the caller
-/// falls back to recompiling from the decoded module.
-pub fn decode_compiled(bytes: &[u8]) -> Result<CompiledModule, CodecError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let version = r.u16()?;
-    if version != BYTECODE_VERSION {
-        return codec_err(format!(
-            "bytecode format version {version}, expected {BYTECODE_VERSION}"
-        ));
-    }
-    let nfuncs = r.u32()? as usize;
-    if nfuncs > bytes.len() {
-        return codec_err("function count exceeds payload size");
-    }
-    let mut funcs = Vec::with_capacity(nfuncs);
-    for _ in 0..nfuncs {
-        if r.u8()? == 0 {
-            funcs.push(None);
-            continue;
-        }
-        let nparams = r.u32()?;
-        let nlocals = r.u32()?;
-        let max_stack = r.u32()?;
-        let nresults = r.u32()? as usize;
-        if nresults > bytes.len() {
-            return codec_err("result count exceeds payload size");
-        }
-        let mut result_types = Vec::with_capacity(nresults);
-        for _ in 0..nresults {
-            result_types.push(valtype_of(r.u8()?)?);
-        }
-        let ncode = r.u32()? as usize;
-        if ncode > bytes.len() {
-            return codec_err("op count exceeds payload size");
-        }
-        let mut code = Vec::with_capacity(ncode);
-        for _ in 0..ncode {
-            code.push(decode_op(&mut r)?);
-        }
-        funcs.push(Some(Arc::new(CompiledFunc {
-            nparams,
-            nlocals,
-            result_types,
-            max_stack,
-            code,
-        })));
-    }
-    if r.pos != bytes.len() {
-        return codec_err("trailing bytes after the last function");
-    }
-    Ok(CompiledModule { funcs })
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| CodecError("unexpected end of payload".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let mut b = [0u8; 4];
-        for s in &mut b {
-            *s = self.u8()?;
-        }
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        let mut b = [0u8; 8];
-        for s in &mut b {
-            *s = self.u8()?;
-        }
-        Ok(u64::from_le_bytes(b))
-    }
-}
-
-fn valtype_tag(t: ValType) -> u8 {
-    match t {
-        ValType::I32 => 0,
-        ValType::I64 => 1,
-        ValType::F32 => 2,
-        ValType::F64 => 3,
-    }
-}
-
-fn valtype_of(b: u8) -> Result<ValType, CodecError> {
-    Ok(match b {
-        0 => ValType::I32,
-        1 => ValType::I64,
-        2 => ValType::F32,
-        3 => ValType::F64,
-        other => return codec_err(format!("bad value type tag {other}")),
-    })
-}
-
-fn width_tag(w: Width) -> u8 {
-    match w {
-        Width::W32 => 0,
-        Width::W64 => 1,
-    }
-}
-
-fn width_of(b: u8) -> Result<Width, CodecError> {
-    Ok(match b {
-        0 => Width::W32,
-        1 => Width::W64,
-        other => return codec_err(format!("bad width tag {other}")),
-    })
-}
-
-fn sx_tag(s: Sx) -> u8 {
-    match s {
-        Sx::S => 0,
-        Sx::U => 1,
-    }
-}
-
-fn sx_of(b: u8) -> Result<Sx, CodecError> {
-    Ok(match b {
-        0 => Sx::S,
-        1 => Sx::U,
-        other => return codec_err(format!("bad signedness tag {other}")),
-    })
-}
-
-fn ibin_tag(op: IBinOp) -> u8 {
-    match op {
-        IBinOp::Add => 0,
-        IBinOp::Sub => 1,
-        IBinOp::Mul => 2,
-        IBinOp::Div(Sx::S) => 3,
-        IBinOp::Div(Sx::U) => 4,
-        IBinOp::Rem(Sx::S) => 5,
-        IBinOp::Rem(Sx::U) => 6,
-        IBinOp::And => 7,
-        IBinOp::Or => 8,
-        IBinOp::Xor => 9,
-        IBinOp::Shl => 10,
-        IBinOp::Shr(Sx::S) => 11,
-        IBinOp::Shr(Sx::U) => 12,
-        IBinOp::Rotl => 13,
-        IBinOp::Rotr => 14,
-    }
-}
-
-fn ibin_of(b: u8) -> Result<IBinOp, CodecError> {
-    Ok(match b {
-        0 => IBinOp::Add,
-        1 => IBinOp::Sub,
-        2 => IBinOp::Mul,
-        3 => IBinOp::Div(Sx::S),
-        4 => IBinOp::Div(Sx::U),
-        5 => IBinOp::Rem(Sx::S),
-        6 => IBinOp::Rem(Sx::U),
-        7 => IBinOp::And,
-        8 => IBinOp::Or,
-        9 => IBinOp::Xor,
-        10 => IBinOp::Shl,
-        11 => IBinOp::Shr(Sx::S),
-        12 => IBinOp::Shr(Sx::U),
-        13 => IBinOp::Rotl,
-        14 => IBinOp::Rotr,
-        other => return codec_err(format!("bad ibin tag {other}")),
-    })
-}
-
-fn irel_tag(op: IRelOp) -> u8 {
-    match op {
-        IRelOp::Eq => 0,
-        IRelOp::Ne => 1,
-        IRelOp::Lt(Sx::S) => 2,
-        IRelOp::Lt(Sx::U) => 3,
-        IRelOp::Gt(Sx::S) => 4,
-        IRelOp::Gt(Sx::U) => 5,
-        IRelOp::Le(Sx::S) => 6,
-        IRelOp::Le(Sx::U) => 7,
-        IRelOp::Ge(Sx::S) => 8,
-        IRelOp::Ge(Sx::U) => 9,
-    }
-}
-
-fn irel_of(b: u8) -> Result<IRelOp, CodecError> {
-    Ok(match b {
-        0 => IRelOp::Eq,
-        1 => IRelOp::Ne,
-        2 => IRelOp::Lt(Sx::S),
-        3 => IRelOp::Lt(Sx::U),
-        4 => IRelOp::Gt(Sx::S),
-        5 => IRelOp::Gt(Sx::U),
-        6 => IRelOp::Le(Sx::S),
-        7 => IRelOp::Le(Sx::U),
-        8 => IRelOp::Ge(Sx::S),
-        9 => IRelOp::Ge(Sx::U),
-        other => return codec_err(format!("bad irel tag {other}")),
-    })
-}
-
-fn iun_tag(op: IUnOp) -> u8 {
-    match op {
-        IUnOp::Clz => 0,
-        IUnOp::Ctz => 1,
-        IUnOp::Popcnt => 2,
-    }
-}
-
-fn iun_of(b: u8) -> Result<IUnOp, CodecError> {
-    Ok(match b {
-        0 => IUnOp::Clz,
-        1 => IUnOp::Ctz,
-        2 => IUnOp::Popcnt,
-        other => return codec_err(format!("bad iun tag {other}")),
-    })
-}
-
-fn fbin_tag(op: FBinOp) -> u8 {
-    match op {
-        FBinOp::Add => 0,
-        FBinOp::Sub => 1,
-        FBinOp::Mul => 2,
-        FBinOp::Div => 3,
-        FBinOp::Min => 4,
-        FBinOp::Max => 5,
-        FBinOp::Copysign => 6,
-    }
-}
-
-fn fbin_of(b: u8) -> Result<FBinOp, CodecError> {
-    Ok(match b {
-        0 => FBinOp::Add,
-        1 => FBinOp::Sub,
-        2 => FBinOp::Mul,
-        3 => FBinOp::Div,
-        4 => FBinOp::Min,
-        5 => FBinOp::Max,
-        6 => FBinOp::Copysign,
-        other => return codec_err(format!("bad fbin tag {other}")),
-    })
-}
-
-fn frel_tag(op: FRelOp) -> u8 {
-    match op {
-        FRelOp::Eq => 0,
-        FRelOp::Ne => 1,
-        FRelOp::Lt => 2,
-        FRelOp::Gt => 3,
-        FRelOp::Le => 4,
-        FRelOp::Ge => 5,
-    }
-}
-
-fn frel_of(b: u8) -> Result<FRelOp, CodecError> {
-    Ok(match b {
-        0 => FRelOp::Eq,
-        1 => FRelOp::Ne,
-        2 => FRelOp::Lt,
-        3 => FRelOp::Gt,
-        4 => FRelOp::Le,
-        5 => FRelOp::Ge,
-        other => return codec_err(format!("bad frel tag {other}")),
-    })
-}
-
-fn fun_tag(op: FUnOp) -> u8 {
-    match op {
-        FUnOp::Abs => 0,
-        FUnOp::Neg => 1,
-        FUnOp::Sqrt => 2,
-        FUnOp::Ceil => 3,
-        FUnOp::Floor => 4,
-        FUnOp::Trunc => 5,
-        FUnOp::Nearest => 6,
-    }
-}
-
-fn fun_of(b: u8) -> Result<FUnOp, CodecError> {
-    Ok(match b {
-        0 => FUnOp::Abs,
-        1 => FUnOp::Neg,
-        2 => FUnOp::Sqrt,
-        3 => FUnOp::Ceil,
-        4 => FUnOp::Floor,
-        5 => FUnOp::Trunc,
-        6 => FUnOp::Nearest,
-        other => return codec_err(format!("bad fun tag {other}")),
-    })
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_target(out: &mut Vec<u8>, t: &BranchTarget) {
-    put_u32(out, t.pc);
-    put_u32(out, t.keep);
-    put_u32(out, t.height);
-}
-
-fn read_target(r: &mut Reader<'_>) -> Result<BranchTarget, CodecError> {
-    Ok(BranchTarget {
-        pc: r.u32()?,
-        keep: r.u32()?,
-        height: r.u32()?,
-    })
-}
-
-#[allow(clippy::too_many_lines)]
-fn encode_op(op: &Op, out: &mut Vec<u8>) {
-    match op {
-        Op::Unreachable => out.push(0),
-        Op::Nop => out.push(1),
-        Op::Meter => out.push(2),
-        Op::Jump(pc) => {
-            out.push(3);
-            put_u32(out, *pc);
-        }
-        Op::IfFalse(pc) => {
-            out.push(4);
-            put_u32(out, *pc);
-        }
-        Op::Br(t) => {
-            out.push(5);
-            put_target(out, t);
-        }
-        Op::BrIf(t) => {
-            out.push(6);
-            put_target(out, t);
-        }
-        Op::BrTable(d) => {
-            out.push(7);
-            put_u32(out, d.targets.len() as u32);
-            for t in &d.targets {
-                put_target(out, t);
-            }
-            put_target(out, &d.default);
-        }
-        Op::Return { keep } => {
-            out.push(8);
-            put_u32(out, *keep);
-        }
-        Op::FallRet { keep } => {
-            out.push(9);
-            put_u32(out, *keep);
-        }
-        Op::Call(f) => {
-            out.push(10);
-            put_u32(out, *f);
-        }
-        Op::CallIndirect(ft) => {
-            out.push(11);
-            put_u32(out, ft.params.len() as u32);
-            for t in &ft.params {
-                out.push(valtype_tag(*t));
-            }
-            put_u32(out, ft.results.len() as u32);
-            for t in &ft.results {
-                out.push(valtype_tag(*t));
-            }
-        }
-        Op::Drop => out.push(12),
-        Op::Select => out.push(13),
-        Op::LocalGet(i) => {
-            out.push(14);
-            put_u32(out, *i);
-        }
-        Op::LocalSet(i) => {
-            out.push(15);
-            put_u32(out, *i);
-        }
-        Op::LocalTee(i) => {
-            out.push(16);
-            put_u32(out, *i);
-        }
-        Op::GlobalGet(i) => {
-            out.push(17);
-            put_u32(out, *i);
-        }
-        Op::GlobalSet { idx, ty } => {
-            out.push(18);
-            put_u32(out, *idx);
-            out.push(valtype_tag(*ty));
-        }
-        Op::Load { ty, offset } => {
-            out.push(19);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-        }
-        Op::Store { ty, offset } => {
-            out.push(20);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-        }
-        Op::Load8U(off) => {
-            out.push(21);
-            put_u32(out, *off);
-        }
-        Op::Store8(off) => {
-            out.push(22);
-            put_u32(out, *off);
-        }
-        Op::MemorySize => out.push(23),
-        Op::MemoryGrow => out.push(24),
-        Op::Const(v) => {
-            out.push(25);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Op::IUn(w, op) => {
-            out.push(26);
-            out.push(width_tag(*w));
-            out.push(iun_tag(*op));
-        }
-        Op::IBin(w, op) => {
-            out.push(27);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-        }
-        Op::ITest(w) => {
-            out.push(28);
-            out.push(width_tag(*w));
-        }
-        Op::IRel(w, op) => {
-            out.push(29);
-            out.push(width_tag(*w));
-            out.push(irel_tag(*op));
-        }
-        Op::FUn(w, op) => {
-            out.push(30);
-            out.push(width_tag(*w));
-            out.push(fun_tag(*op));
-        }
-        Op::FBin(w, op) => {
-            out.push(31);
-            out.push(width_tag(*w));
-            out.push(fbin_tag(*op));
-        }
-        Op::FRel(w, op) => {
-            out.push(32);
-            out.push(width_tag(*w));
-            out.push(frel_tag(*op));
-        }
-        Op::I32WrapI64 => out.push(33),
-        Op::I64ExtendI32(sx) => {
-            out.push(34);
-            out.push(sx_tag(*sx));
-        }
-        Op::ITruncF(iw, fw, sx) => {
-            out.push(35);
-            out.push(width_tag(*iw));
-            out.push(width_tag(*fw));
-            out.push(sx_tag(*sx));
-        }
-        Op::FConvertI(fw, iw, sx) => {
-            out.push(36);
-            out.push(width_tag(*fw));
-            out.push(width_tag(*iw));
-            out.push(sx_tag(*sx));
-        }
-        Op::F32DemoteF64 => out.push(37),
-        Op::F64PromoteF32 => out.push(38),
-        Op::IReinterpretF(w) => {
-            out.push(39);
-            out.push(width_tag(*w));
-        }
-        Op::FReinterpretI(w) => {
-            out.push(40);
-            out.push(width_tag(*w));
-        }
-        Op::GetConstOp(w, op, i, c) => {
-            out.push(41);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            put_u32(out, *i);
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GetConstOpSet(w, op, i, j, c) => {
-            out.push(42);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GlobalIncr(w, op, ty, g, c) => {
-            out.push(43);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.push(valtype_tag(*ty));
-            out.extend_from_slice(&g.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::ConstOp(w, op, c) => {
-            out.push(44);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::ConstRelIfFalse(w, op, pc, c) => {
-            out.push(45);
-            out.push(width_tag(*w));
-            out.push(irel_tag(*op));
-            put_u32(out, *pc);
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GetLoad(ty, offset, i) => {
-            out.push(46);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            put_u32(out, *i);
-        }
-        Op::TestBr(w, t) => {
-            out.push(47);
-            out.push(width_tag(*w));
-            put_target(out, t);
-        }
-        Op::GetTest(w, i) => {
-            out.push(48);
-            out.push(width_tag(*w));
-            put_u32(out, *i);
-        }
-        Op::Copy(i, j) => {
-            out.push(49);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::Get2(i, j) => {
-            out.push(50);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::ConstSet(j, c) => {
-            out.push(51);
-            out.extend_from_slice(&j.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GetConstRelBr(d) | Op::GetConstRelIfFalse(d) => {
-            out.push(if matches!(op, Op::GetConstRelBr(_)) {
-                52
-            } else {
-                53
-            });
-            out.push(width_tag(d.w));
-            out.push(irel_tag(d.op));
-            put_u32(out, d.i);
-            out.extend_from_slice(&d.c.to_le_bytes());
-            put_target(out, &d.t);
-        }
-        Op::RelBr(w, op, t) => {
-            out.push(54);
-            out.push(width_tag(*w));
-            out.push(irel_tag(*op));
-            put_target(out, t);
-        }
-        Op::GetRelIfFalse(w, op, i, pc) => {
-            out.push(55);
-            out.push(width_tag(*w));
-            out.push(irel_tag(*op));
-            out.extend_from_slice(&i.to_le_bytes());
-            put_u32(out, *pc);
-        }
-        Op::GetLoadSet(ty, offset, i, j) => {
-            out.push(56);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::Get2Store(ty, offset, i, j) => {
-            out.push(57);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::ConstOpSet(w, op, j, c) => {
-            out.push(58);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.extend_from_slice(&j.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GlobalGetSet(g, j) => {
-            out.push(59);
-            out.extend_from_slice(&g.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::Meter2 => out.push(60),
-        Op::GetTestBr(w, i, t) => {
-            out.push(61);
-            out.push(width_tag(*w));
-            out.extend_from_slice(&i.to_le_bytes());
-            put_target(out, t);
-        }
-        Op::GetTestIfFalse(w, i, pc) => {
-            out.push(62);
-            out.push(width_tag(*w));
-            out.extend_from_slice(&i.to_le_bytes());
-            put_u32(out, *pc);
-        }
-        Op::GetGlobalStore(ty, offset, i, g) => {
-            out.push(63);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&g.to_le_bytes());
-        }
-        Op::GetLoadGlobalSet(ty, gty, offset, i, g) => {
-            out.push(64);
-            out.push(valtype_tag(*ty));
-            out.push(valtype_tag(*gty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&g.to_le_bytes());
-        }
-        Op::TeeGetLoad(ty, offset, i) => {
-            out.push(65);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Op::GetConstOpGetOp(d) => {
-            out.push(66);
-            out.push(width_tag(d.w));
-            out.push(ibin_tag(d.op1));
-            out.push(ibin_tag(d.op2));
-            put_u32(out, d.i);
-            put_u32(out, d.j);
-            out.extend_from_slice(&d.c.to_le_bytes());
-        }
-        Op::ConstCall(f, c) => {
-            out.push(67);
-            put_u32(out, *f);
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::MeterGetTestBr(w, i, t) => {
-            out.push(68);
-            out.push(width_tag(*w));
-            out.extend_from_slice(&i.to_le_bytes());
-            put_target(out, t);
-        }
-        Op::GetMeter(i) => {
-            out.push(69);
-            put_u32(out, *i);
-        }
-        Op::GetConstOpGlobalSet(w, op, gty, i, g, c) => {
-            out.push(70);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.push(valtype_tag(*gty));
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&g.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::ConstSetGlobalGetSet(j1, g, j2, c) => {
-            out.push(71);
-            out.extend_from_slice(&j1.to_le_bytes());
-            out.extend_from_slice(&g.to_le_bytes());
-            out.extend_from_slice(&j2.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GetConstOpConstOpSet(d) => {
-            out.push(72);
-            out.push(width_tag(d.w));
-            out.push(ibin_tag(d.op1));
-            out.push(ibin_tag(d.op2));
-            out.extend_from_slice(&d.i.to_le_bytes());
-            out.extend_from_slice(&d.j.to_le_bytes());
-            out.extend_from_slice(&d.c1.to_le_bytes());
-            out.extend_from_slice(&d.c2.to_le_bytes());
-        }
-        Op::GetConstOpRet(w, op, i, c) => {
-            out.push(73);
-            out.push(width_tag(*w));
-            out.push(ibin_tag(*op));
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        Op::GetLoadRelIfFalse(d) => {
-            out.push(74);
-            out.push(valtype_tag(d.ty));
-            out.push(width_tag(d.w));
-            out.push(irel_tag(d.op));
-            out.extend_from_slice(&d.i.to_le_bytes());
-            out.extend_from_slice(&d.j.to_le_bytes());
-            put_u32(out, d.offset);
-            put_u32(out, d.pc);
-        }
-        Op::SetGet2Store(ty, offset, b, j) => {
-            out.push(76);
-            out.push(valtype_tag(*ty));
-            put_u32(out, *offset);
-            out.extend_from_slice(&b.to_le_bytes());
-            out.extend_from_slice(&j.to_le_bytes());
-        }
-        Op::CopyGetConstOpSet(d) => {
-            out.push(75);
-            out.push(width_tag(d.w));
-            out.push(ibin_tag(d.op));
-            out.extend_from_slice(&d.a.to_le_bytes());
-            out.extend_from_slice(&d.b.to_le_bytes());
-            out.extend_from_slice(&d.i.to_le_bytes());
-            out.extend_from_slice(&d.j.to_le_bytes());
-            out.extend_from_slice(&d.c.to_le_bytes());
-        }
-    }
-}
-
-fn decode_op(r: &mut Reader<'_>) -> Result<Op, CodecError> {
-    Ok(match r.u8()? {
-        0 => Op::Unreachable,
-        1 => Op::Nop,
-        2 => Op::Meter,
-        3 => Op::Jump(r.u32()?),
-        4 => Op::IfFalse(r.u32()?),
-        5 => Op::Br(read_target(r)?),
-        6 => Op::BrIf(read_target(r)?),
-        7 => {
-            let n = r.u32()? as usize;
-            if n > r.bytes.len() {
-                return codec_err("br_table target count exceeds payload size");
-            }
-            let mut targets = Vec::with_capacity(n);
-            for _ in 0..n {
-                targets.push(read_target(r)?);
-            }
-            let default = read_target(r)?;
-            Op::BrTable(Box::new(BrTableData { targets, default }))
-        }
-        8 => Op::Return { keep: r.u32()? },
-        9 => Op::FallRet { keep: r.u32()? },
-        10 => Op::Call(r.u32()?),
-        11 => {
-            let np = r.u32()? as usize;
-            if np > r.bytes.len() {
-                return codec_err("param count exceeds payload size");
-            }
-            let mut params = Vec::with_capacity(np);
-            for _ in 0..np {
-                params.push(valtype_of(r.u8()?)?);
-            }
-            let nr = r.u32()? as usize;
-            if nr > r.bytes.len() {
-                return codec_err("result count exceeds payload size");
-            }
-            let mut results = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                results.push(valtype_of(r.u8()?)?);
-            }
-            Op::CallIndirect(Box::new(FuncType { params, results }))
-        }
-        12 => Op::Drop,
-        13 => Op::Select,
-        14 => Op::LocalGet(r.u32()?),
-        15 => Op::LocalSet(r.u32()?),
-        16 => Op::LocalTee(r.u32()?),
-        17 => Op::GlobalGet(r.u32()?),
-        18 => Op::GlobalSet {
-            idx: r.u32()?,
-            ty: valtype_of(r.u8()?)?,
-        },
-        19 => Op::Load {
-            ty: valtype_of(r.u8()?)?,
-            offset: r.u32()?,
-        },
-        20 => Op::Store {
-            ty: valtype_of(r.u8()?)?,
-            offset: r.u32()?,
-        },
-        21 => Op::Load8U(r.u32()?),
-        22 => Op::Store8(r.u32()?),
-        23 => Op::MemorySize,
-        24 => Op::MemoryGrow,
-        25 => Op::Const(r.u64()?),
-        26 => Op::IUn(width_of(r.u8()?)?, iun_of(r.u8()?)?),
-        27 => Op::IBin(width_of(r.u8()?)?, ibin_of(r.u8()?)?),
-        28 => Op::ITest(width_of(r.u8()?)?),
-        29 => Op::IRel(width_of(r.u8()?)?, irel_of(r.u8()?)?),
-        30 => Op::FUn(width_of(r.u8()?)?, fun_of(r.u8()?)?),
-        31 => Op::FBin(width_of(r.u8()?)?, fbin_of(r.u8()?)?),
-        32 => Op::FRel(width_of(r.u8()?)?, frel_of(r.u8()?)?),
-        33 => Op::I32WrapI64,
-        34 => Op::I64ExtendI32(sx_of(r.u8()?)?),
-        35 => Op::ITruncF(width_of(r.u8()?)?, width_of(r.u8()?)?, sx_of(r.u8()?)?),
-        36 => Op::FConvertI(width_of(r.u8()?)?, width_of(r.u8()?)?, sx_of(r.u8()?)?),
-        37 => Op::F32DemoteF64,
-        38 => Op::F64PromoteF32,
-        39 => Op::IReinterpretF(width_of(r.u8()?)?),
-        40 => Op::FReinterpretI(width_of(r.u8()?)?),
-        41 => Op::GetConstOp(width_of(r.u8()?)?, ibin_of(r.u8()?)?, r.u32()?, r.u64()?),
-        42 => Op::GetConstOpSet(
-            width_of(r.u8()?)?,
-            ibin_of(r.u8()?)?,
-            r.u16()?,
-            r.u16()?,
-            r.u64()?,
-        ),
-        43 => Op::GlobalIncr(
-            width_of(r.u8()?)?,
-            ibin_of(r.u8()?)?,
-            valtype_of(r.u8()?)?,
-            r.u16()?,
-            r.u64()?,
-        ),
-        44 => Op::ConstOp(width_of(r.u8()?)?, ibin_of(r.u8()?)?, r.u64()?),
-        45 => Op::ConstRelIfFalse(width_of(r.u8()?)?, irel_of(r.u8()?)?, r.u32()?, r.u64()?),
-        46 => Op::GetLoad(valtype_of(r.u8()?)?, r.u32()?, r.u32()?),
-        47 => Op::TestBr(width_of(r.u8()?)?, read_target(r)?),
-        48 => Op::GetTest(width_of(r.u8()?)?, r.u32()?),
-        49 => Op::Copy(r.u16()?, r.u16()?),
-        50 => Op::Get2(r.u16()?, r.u16()?),
-        51 => Op::ConstSet(r.u16()?, r.u64()?),
-        tag @ (52 | 53) => {
-            let d = CmpBrData {
-                w: width_of(r.u8()?)?,
-                op: irel_of(r.u8()?)?,
-                i: r.u32()?,
-                c: r.u64()?,
-                t: read_target(r)?,
-            };
-            if tag == 52 {
-                Op::GetConstRelBr(Box::new(d))
-            } else {
-                Op::GetConstRelIfFalse(Box::new(d))
-            }
-        }
-        54 => Op::RelBr(width_of(r.u8()?)?, irel_of(r.u8()?)?, read_target(r)?),
-        55 => Op::GetRelIfFalse(width_of(r.u8()?)?, irel_of(r.u8()?)?, r.u16()?, r.u32()?),
-        56 => Op::GetLoadSet(valtype_of(r.u8()?)?, r.u32()?, r.u16()?, r.u16()?),
-        57 => Op::Get2Store(valtype_of(r.u8()?)?, r.u32()?, r.u16()?, r.u16()?),
-        58 => Op::ConstOpSet(width_of(r.u8()?)?, ibin_of(r.u8()?)?, r.u16()?, r.u64()?),
-        59 => Op::GlobalGetSet(r.u16()?, r.u16()?),
-        60 => Op::Meter2,
-        61 => Op::GetTestBr(width_of(r.u8()?)?, r.u16()?, read_target(r)?),
-        62 => Op::GetTestIfFalse(width_of(r.u8()?)?, r.u16()?, r.u32()?),
-        63 => Op::GetGlobalStore(valtype_of(r.u8()?)?, r.u32()?, r.u16()?, r.u16()?),
-        64 => Op::GetLoadGlobalSet(
-            valtype_of(r.u8()?)?,
-            valtype_of(r.u8()?)?,
-            r.u32()?,
-            r.u16()?,
-            r.u16()?,
-        ),
-        65 => Op::TeeGetLoad(valtype_of(r.u8()?)?, r.u32()?, r.u16()?),
-        66 => {
-            let d = ArithChainData {
-                w: width_of(r.u8()?)?,
-                op1: ibin_of(r.u8()?)?,
-                op2: ibin_of(r.u8()?)?,
-                i: r.u32()?,
-                j: r.u32()?,
-                c: r.u64()?,
-            };
-            Op::GetConstOpGetOp(Box::new(d))
-        }
-        67 => Op::ConstCall(r.u32()?, r.u64()?),
-        68 => Op::MeterGetTestBr(width_of(r.u8()?)?, r.u16()?, read_target(r)?),
-        69 => Op::GetMeter(r.u32()?),
-        70 => Op::GetConstOpGlobalSet(
-            width_of(r.u8()?)?,
-            ibin_of(r.u8()?)?,
-            valtype_of(r.u8()?)?,
-            r.u16()?,
-            r.u16()?,
-            r.u64()?,
-        ),
-        71 => Op::ConstSetGlobalGetSet(r.u16()?, r.u16()?, r.u16()?, r.u64()?),
-        72 => {
-            let d = ArithFoldData {
-                w: width_of(r.u8()?)?,
-                op1: ibin_of(r.u8()?)?,
-                op2: ibin_of(r.u8()?)?,
-                i: r.u16()?,
-                j: r.u16()?,
-                c1: r.u64()?,
-                c2: r.u64()?,
-            };
-            Op::GetConstOpConstOpSet(Box::new(d))
-        }
-        73 => Op::GetConstOpRet(width_of(r.u8()?)?, ibin_of(r.u8()?)?, r.u16()?, r.u64()?),
-        74 => {
-            let d = LoadCmpData {
-                ty: valtype_of(r.u8()?)?,
-                w: width_of(r.u8()?)?,
-                op: irel_of(r.u8()?)?,
-                i: r.u16()?,
-                j: r.u16()?,
-                offset: r.u32()?,
-                pc: r.u32()?,
-            };
-            Op::GetLoadRelIfFalse(Box::new(d))
-        }
-        75 => {
-            let d = CopyArithData {
-                w: width_of(r.u8()?)?,
-                op: ibin_of(r.u8()?)?,
-                a: r.u16()?,
-                b: r.u16()?,
-                i: r.u16()?,
-                j: r.u16()?,
-                c: r.u64()?,
-            };
-            Op::CopyGetConstOpSet(Box::new(d))
-        }
-        76 => Op::SetGet2Store(valtype_of(r.u8()?)?, r.u32()?, r.u16()?, r.u16()?),
-        other => return codec_err(format!("bad op tag {other}")),
-    })
 }

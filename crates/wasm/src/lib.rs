@@ -38,7 +38,7 @@ pub mod validate;
 pub mod vm;
 
 pub use ast::{Export, ExportKind, FuncDef, FuncType, Module, ValType, WInstr};
-pub use compile::{compile_module, decode_compiled, encode_compiled, CompiledModule};
+pub use compile::{compile_module, CompiledModule};
 pub use decode::{decode_module, DecodeError, DecodeErrorKind};
 pub use exec::{Val, WasmLinker};
 pub use validate::validate_module;

@@ -5,7 +5,7 @@
 
 use richwasm_bench::workloads::wasm_branch_probes;
 use richwasm_wasm::ast::*;
-use richwasm_wasm::compile::{compile_module, decode_compiled, encode_compiled};
+use richwasm_wasm::compile::compile_module;
 use richwasm_wasm::exec::{Val, WasmLinker};
 
 fn one_func(
@@ -478,66 +478,24 @@ fn parameterised_blocks_and_function_label_branches_follow_the_spec() {
     }
 }
 
+/// A module with one function left uncompiled is refused whole: no
+/// function is re-pointed, and the full compilation then attaches.
 #[test]
-fn codec_round_trips_byte_exact() {
-    let mut m = one_func(
+fn attach_refuses_a_module_with_an_uncompiled_function() {
+    let m = one_func(
+        vec![],
         vec![ValType::I32],
-        vec![ValType::I32],
-        vec![ValType::I64, ValType::F64],
-        vec![
-            WInstr::Block(
-                BlockType::Empty,
-                vec![
-                    WInstr::LocalGet(0),
-                    WInstr::BrIf(0),
-                    WInstr::I32Const(1),
-                    WInstr::LocalSet(0),
-                ],
-            ),
-            WInstr::LocalGet(0),
-            WInstr::F64Const(2.5),
-            WInstr::FUn(Width::W64, FUnOp::Sqrt),
-            WInstr::ITruncF(Width::W32, Width::W64, Sx::U),
-            WInstr::IBin(Width::W32, IBinOp::Add),
-        ],
+        vec![],
+        vec![WInstr::I32Const(5)],
     );
-    m.memory = Some(1);
-    let cm = compile_module(&m);
-    let mut bytes = Vec::new();
-    encode_compiled(&cm, &mut bytes);
-    let back = decode_compiled(&bytes).expect("decode");
-    let mut again = Vec::new();
-    encode_compiled(&back, &mut again);
-    assert_eq!(bytes, again, "encode∘decode must be byte-identical");
-
-    // And the decoded form executes identically.
-    let mut tree = WasmLinker::new();
-    let ti = tree.instantiate("m", m.clone()).unwrap();
-    let want = tree.invoke(ti, "f", &[Val::I32(0)]).unwrap();
+    let compiled = compile_module(&m);
+    let mut partial = compiled.clone();
+    partial.funcs[0] = None;
     let mut vm = WasmLinker::new();
     let vi = vm.instantiate("m", m).unwrap();
-    // A payload with a function missing is refused, never half-attached.
-    let mut partial = back.clone();
-    partial.funcs[0] = None;
     assert!(vm.attach_compiled(vi, &partial).is_err());
-    vm.attach_compiled(vi, &back).unwrap();
-    assert_eq!(vm.invoke(vi, "f", &[Val::I32(0)]).unwrap(), want);
-    assert_eq!(vm.last_steps(), tree.last_steps());
-}
-
-#[test]
-fn decode_rejects_garbage() {
-    assert!(decode_compiled(&[]).is_err());
-    assert!(
-        decode_compiled(&[0xFF, 0xFF, 0, 0, 0, 0]).is_err(),
-        "bad version"
-    );
-    // Valid prefix with trailing junk is rejected too.
-    let cm = compile_module(&one_func(vec![], vec![], vec![], vec![WInstr::Nop]));
-    let mut bytes = Vec::new();
-    encode_compiled(&cm, &mut bytes);
-    bytes.push(0);
-    assert!(decode_compiled(&bytes).is_err(), "trailing bytes");
+    assert_eq!(vm.attach_compiled(vi, &compiled), Ok(1));
+    assert_eq!(vm.invoke(vi, "f", &[]).unwrap(), vec![Val::I32(5)]);
 }
 
 /// Reset determinism on the VM: after mutating globals and memory,
@@ -585,4 +543,171 @@ fn reset_determinism_on_vm() {
     l.reset().unwrap();
     assert_eq!(l.invoke(i, "f", &[]).unwrap(), first);
     assert_eq!(l.last_steps(), first_steps);
+}
+
+/// One page of memory whose last four bytes a data segment fills, a
+/// mutable global, three jobs that dirty state in the ways a reset must
+/// undo, and the probes that observe it:
+///
+/// * `grow` grows memory by two pages, stores into the new ones and
+///   sets the global;
+/// * `edge` stores to the last byte (and last word) of page 0;
+/// * `trap_mid` stores, sets the global, then traps on an
+///   out-of-bounds store halfway through its store sequence;
+/// * `size`, `global` and `load(addr)` read `memory.size`, the global
+///   and the word at `addr`.
+fn reset_probe_module() -> Module {
+    let mut m = Module::default();
+    let unit_i32 = m.intern_type(FuncType {
+        params: vec![],
+        results: vec![ValType::I32],
+    });
+    let unit_unit = m.intern_type(FuncType {
+        params: vec![],
+        results: vec![],
+    });
+    let i32_i32 = m.intern_type(FuncType {
+        params: vec![ValType::I32],
+        results: vec![ValType::I32],
+    });
+    let store = |addr: i32, v: i32| {
+        vec![
+            WInstr::I32Const(addr),
+            WInstr::I32Const(v),
+            WInstr::Store(ValType::I32, 0),
+        ]
+    };
+    let set_global = |v: i32| vec![WInstr::I32Const(v), WInstr::GlobalSet(0)];
+    let grow = [
+        vec![WInstr::I32Const(2), WInstr::MemoryGrow],
+        store(70_000, 99),
+        store(3 * 65536 - 4, 98),
+        set_global(1),
+    ]
+    .concat();
+    let edge = [
+        vec![
+            WInstr::I32Const(65535),
+            WInstr::I32Const(0x5A),
+            WInstr::Store8(0),
+        ],
+        store(65528, -1),
+        set_global(2),
+    ]
+    .concat();
+    let trap_mid = [
+        store(0, 0x11),
+        store(4096, 0x22),
+        set_global(3),
+        store(-16, 0x33),
+        store(8192, 0x44),
+    ]
+    .concat();
+    let funcs = [
+        ("grow", unit_i32, grow),
+        ("edge", unit_unit, edge),
+        ("trap_mid", unit_unit, trap_mid),
+        ("size", unit_i32, vec![WInstr::MemorySize]),
+        ("global", unit_i32, vec![WInstr::GlobalGet(0)]),
+        (
+            "load",
+            i32_i32,
+            vec![WInstr::LocalGet(0), WInstr::Load(ValType::I32, 0)],
+        ),
+    ];
+    for (i, (name, type_idx, body)) in funcs.into_iter().enumerate() {
+        m.funcs.push(FuncDef {
+            type_idx,
+            locals: vec![],
+            body,
+        });
+        m.exports.push(Export {
+            name: name.into(),
+            kind: ExportKind::Func(i as u32),
+        });
+    }
+    m.memory = Some(1);
+    m.globals.push(GlobalDef {
+        ty: ValType::I32,
+        mutable: true,
+        init: WInstr::I32Const(7),
+    });
+    m.data.push(DataSegment {
+        offset: 65532,
+        bytes: vec![1, 2, 3, 4],
+    });
+    m
+}
+
+/// A linker running [`reset_probe_module`] on the bytecode VM
+/// (`bytecode`) or the tree-walker, sealed after instantiation.
+fn probe_linker(bytecode: bool) -> (WasmLinker, usize) {
+    let m = reset_probe_module();
+    let mut l = WasmLinker::new();
+    let compiled = compile_module(&m);
+    let i = l.instantiate("m", m).unwrap();
+    if bytecode {
+        l.attach_compiled(i, &compiled).unwrap();
+    }
+    l.seal();
+    (l, i)
+}
+
+/// Every probe's outcome (value or trap message) and `last_steps()`.
+fn probe_state(l: &mut WasmLinker, i: usize) -> Vec<(Result<Vec<Val>, String>, u64)> {
+    let mut calls: Vec<(&str, Vec<Val>)> = vec![("size", vec![]), ("global", vec![])];
+    for addr in [0, 4096, 8192, 65528, 65532, 65533, 70_000, 3 * 65536 - 4] {
+        calls.push(("load", vec![Val::I32(addr)]));
+    }
+    calls
+        .into_iter()
+        .map(|(f, args)| {
+            let out = l.invoke(i, f, &args).map_err(|e| e.to_string());
+            (out, l.last_steps())
+        })
+        .collect()
+}
+
+/// A reset linker is indistinguishable from a fresh one after jobs that
+/// grow memory, write the last byte of a page, or trap halfway through a
+/// sequence of stores — on both tiers, one job at a time and all at
+/// once, and across repeated resets.
+#[test]
+fn reset_after_grow_page_edge_and_mid_store_trap_equals_fresh() {
+    let jobs: [&[&str]; 4] = [
+        &["grow"],
+        &["edge"],
+        &["trap_mid"],
+        &["grow", "edge", "trap_mid", "grow"],
+    ];
+    let mut fresh_by_tier = Vec::new();
+    for bytecode in [false, true] {
+        let (mut fresh, fi) = probe_linker(bytecode);
+        let want = probe_state(&mut fresh, fi);
+        assert_eq!(want[0].0, Ok(vec![Val::I32(1)]), "fresh memory.size");
+        assert_eq!(want[1].0, Ok(vec![Val::I32(7)]), "fresh global");
+
+        let (mut l, i) = probe_linker(bytecode);
+        for round in 0..2 {
+            for seq in jobs {
+                for job in seq {
+                    let out = l.invoke(i, job, &[]);
+                    assert_eq!(out.is_err(), *job == "trap_mid", "{job}: {out:?}");
+                }
+                assert_ne!(
+                    probe_state(&mut l, i),
+                    want,
+                    "{seq:?} must leave state a reset has to undo"
+                );
+                l.reset().unwrap();
+                assert_eq!(
+                    probe_state(&mut l, i),
+                    want,
+                    "bytecode={bytecode}, round {round}: reset after {seq:?}"
+                );
+            }
+        }
+        fresh_by_tier.push(want);
+    }
+    assert_eq!(fresh_by_tier[0], fresh_by_tier[1], "tiers agree on probes");
 }

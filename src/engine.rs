@@ -74,9 +74,7 @@ use richwasm_lower::{lower_modules_timed, LinkPlan, LowerError};
 use richwasm_ml::{compile_module as compile_ml, MlError, MlModule};
 use richwasm_wasm::ast as w;
 use richwasm_wasm::binary::encode_module;
-use richwasm_wasm::compile::{
-    compile_module as compile_wasm_bytecode, decode_compiled, encode_compiled, CompiledModule,
-};
+use richwasm_wasm::compile::{compile_module as compile_wasm_bytecode, CompiledModule};
 use richwasm_wasm::decode::{decode_module, DecodeError};
 use richwasm_wasm::exec::{Val, WasmLinker, WasmTrap};
 use richwasm_wasm::validate::ValidationError;
@@ -362,12 +360,12 @@ impl Exec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WasmTier {
     /// Flat-bytecode VM: every function body is lowered to a linear
-    /// `Op` sequence with pre-resolved branch targets at artifact build
-    /// time.
+    /// `Op` sequence with pre-resolved branch targets when the artifact
+    /// is built or loaded.
     #[default]
     Bytecode,
-    /// Tree-walking interpreter only — no bytecode is compiled, cached,
-    /// or serialized. The reference engine.
+    /// Tree-walking interpreter only — no bytecode is compiled or
+    /// cached. The reference engine.
     Tree,
 }
 
@@ -991,7 +989,7 @@ impl fmt::Display for CacheStats {
 /// Magic + format version of a serialized [`Artifact`] (`DESIGN.md` §9);
 /// bump the trailing byte on any layout change so stale files fall back
 /// to a cold compile instead of misparsing.
-const ARTIFACT_MAGIC: &[u8] = b"RWART\x03";
+const ARTIFACT_MAGIC: &[u8] = b"RWART\x04";
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -1162,10 +1160,11 @@ struct ArtifactInner {
     /// Per-module static-analysis reports, in `lowered` order (empty
     /// when [`Analysis::Off`] or in [`Exec::Interp`]).
     analysis: Vec<(String, AnalysisReport)>,
-    /// Flat-bytecode compilations of `lowered`, in the same order
-    /// (empty when [`WasmTier::Tree`] or in [`Exec::Interp`]). Attached
-    /// to every instance's Wasm store at instantiation.
-    compiled: Vec<(String, CompiledModule)>,
+    /// Flat-bytecode compilations of `lowered`, index for index (empty
+    /// when [`WasmTier::Tree`] or in [`Exec::Interp`]), built by
+    /// [`compile_bytecode`]. Attached to every instance's Wasm store at
+    /// instantiation.
+    compiled: Vec<CompiledModule>,
     /// Static-stage timings of the (cold) compile that produced this.
     timings: Timings,
 }
@@ -1277,8 +1276,9 @@ impl Artifact {
     /// Serializes the artifact for the persistent cache (or for shipping
     /// to another process): the standard `.wasm` bytes of every module,
     /// the entry metadata, the configuration (fields + fingerprint), the
-    /// cache key, and a whole-file checksum. The format is documented in
-    /// `DESIGN.md` §9.
+    /// cache key, the static-analysis reports, and a whole-file checksum.
+    /// No bytecode is written: the `.wasm` modules are the only code a
+    /// file carries. The format is documented in `DESIGN.md` §9.
     ///
     /// Returns `None` when the artifact is not self-contained on disk:
     /// only [`Exec::Wasm`] artifacts serialize (`.wasm` bytes carry no
@@ -1321,16 +1321,6 @@ impl Artifact {
             write_str(&mut out, name);
             write_analysis(&mut out, report);
         }
-        // v3 bytecode section: one self-versioned payload per compiled
-        // module (see `richwasm_wasm::compile::BYTECODE_VERSION`).
-        out.extend_from_slice(&(inner.compiled.len() as u32).to_le_bytes());
-        for (name, cm) in &inner.compiled {
-            write_str(&mut out, name);
-            let mut payload = Vec::new();
-            encode_compiled(cm, &mut payload);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&payload);
-        }
         let mut h = Fnv128::new();
         h.update(&out);
         out.extend_from_slice(&h.0.to_le_bytes());
@@ -1341,12 +1331,17 @@ impl Artifact {
     ///
     /// The bytes are treated as untrusted: the checksum must match, and
     /// every embedded `.wasm` module goes back through the full strict
-    /// decode → validate path before it can be instantiated. The
-    /// resulting artifact is equivalent to the original for every
-    /// [`Exec::Wasm`] purpose — identical key, entry metadata, and
-    /// byte-identical [`Artifact::wasm_binaries`] — but records no
-    /// static-stage [`Timings`] (nothing was recompiled; the load cost
-    /// itself is what the `e10_decode` bench measures).
+    /// decode → validate path before it can be instantiated. On the
+    /// [`WasmTier::Bytecode`] tier the flat bytecode is then rebuilt from
+    /// those just-validated modules, so a loaded artifact runs exactly
+    /// the Wasm it validated. The analysis reports are read back as
+    /// stored (`DESIGN.md` §9 says why and what a tampered report can
+    /// do). The resulting artifact is equivalent to the original for
+    /// every [`Exec::Wasm`] purpose — identical key, entry metadata,
+    /// byte-identical [`Artifact::wasm_binaries`], identical bytecode —
+    /// but records no static-stage [`Timings`] (no frontend, check or
+    /// lowering ran; the load cost, bytecode rebuild included, is what
+    /// the `e10_decode` bench measures).
     ///
     /// # Errors
     ///
@@ -1435,34 +1430,10 @@ impl Artifact {
                 read_analysis(&mut r).ok_or_else(|| corrupt("malformed analysis report"))?;
             analysis.push((name, report));
         }
-        // Bytecode section. Framing errors are corruption; a payload
-        // that frames but fails `decode_compiled` (e.g. a bytecode
-        // format-version bump) falls back to recompiling from the
-        // already-validated module — stale bytecode must never force a
-        // full cold compile when the `.wasm` bytes are still good.
-        let n_compiled = u32::from_le_bytes(r.array::<4>().ok_or_else(|| corrupt("eof"))?) as usize;
-        let mut compiled = Vec::new();
-        for _ in 0..n_compiled {
-            let name = r
-                .string()
-                .ok_or_else(|| corrupt("bad compiled-module name"))?;
-            let len = u64::from_le_bytes(r.array::<8>().ok_or_else(|| corrupt("eof"))?) as usize;
-            let data = r.take(len).ok_or_else(|| corrupt("truncated bytecode"))?;
-            let cm = match decode_compiled(data) {
-                Ok(cm) => cm,
-                Err(_) => {
-                    let (_, wm) = lowered
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .ok_or_else(|| corrupt("bytecode for unknown module"))?;
-                    compile_wasm_bytecode(wm)
-                }
-            };
-            compiled.push((name, cm));
-        }
         if r.pos != payload.len() {
             return Err(corrupt("trailing bytes in artifact"));
         }
+        let compiled = compile_bytecode(&config, &lowered);
         Ok(Artifact {
             inner: Arc::new(ArtifactInner {
                 key,
@@ -1543,24 +1514,15 @@ impl Artifact {
                     .collect();
                 linker.register_host_module(&hm.name, funcs);
             }
-            for (name, wm) in &inner.lowered {
-                let idx = linker.instantiate(name, wm.clone()).map_err(|e| {
+            for (i, (name, wm)) in inner.lowered.iter().enumerate() {
+                let wasm_err = |e| {
                     PipelineError::new(Stage::Instantiate, Some(name), PipelineErrorKind::Wasm(e))
-                })?;
+                };
+                let idx = linker.instantiate(name, wm.clone()).map_err(wasm_err)?;
                 // Bytecode tier: re-point every defined function at its
-                // flat compilation.
-                if config.wasm_tier == WasmTier::Bytecode {
-                    let attached = match inner.compiled.iter().find(|(n, _)| n == name) {
-                        Some((_, cm)) => linker.attach_compiled(idx, cm),
-                        None => Err(WasmTrap(format!("module `{name}` has no bytecode"))),
-                    };
-                    attached.map_err(|e| {
-                        PipelineError::new(
-                            Stage::Instantiate,
-                            Some(name),
-                            PipelineErrorKind::Wasm(e),
-                        )
-                    })?;
+                // flat compilation (`compiled` is empty on the tree tier).
+                if let Some(cm) = inner.compiled.get(i) {
+                    linker.attach_compiled(idx, cm).map_err(wasm_err)?;
                 }
             }
             // Baseline for cheap Instance::reset.
@@ -2775,13 +2737,10 @@ impl Engine {
 
         // Bytecode tier: flatten every validated function body to linear
         // ops (timed under `Encode` — it is the other build-time code
-        // emission). Tree tier skips this entirely.
-        let mut compiled = Vec::new();
-        if config.exec.wants_wasm() && config.wasm_tier == WasmTier::Bytecode {
-            let t0 = Instant::now();
-            for (name, wm) in &lowered {
-                compiled.push((name.clone(), compile_wasm_bytecode(wm)));
-            }
+        // emission).
+        let t0 = Instant::now();
+        let compiled = compile_bytecode(config, &lowered);
+        if !compiled.is_empty() {
             timings.add(Stage::Encode, t0.elapsed());
         }
 
@@ -2822,6 +2781,22 @@ impl Engine {
             }),
         })
     }
+}
+
+/// The flat-bytecode compilation of every **validated** module in
+/// `lowered`, index for index; empty under [`WasmTier::Tree`] (and for
+/// an [`Exec::Interp`] artifact, which lowers nothing). A cold compile
+/// and [`Artifact::deserialize`] both build bytecode here and nowhere
+/// else, so an artifact only ever runs code compiled from modules it has
+/// just validated.
+fn compile_bytecode(config: &EngineConfig, lowered: &[(String, w::Module)]) -> Vec<CompiledModule> {
+    if config.wasm_tier != WasmTier::Bytecode {
+        return Vec::new();
+    }
+    lowered
+        .iter()
+        .map(|(_, wm)| compile_wasm_bytecode(wm))
+        .collect()
 }
 
 /// A RichWasm type error in module `name`, as the `Typecheck` stage
@@ -3189,6 +3164,50 @@ mod tests {
         let bare = off.compile(&host_client_set()).unwrap();
         assert!(bare.analysis().is_empty());
         assert_ne!(artifact.key(), bare.key());
+    }
+
+    #[test]
+    fn loaded_artifacts_rebuild_bytecode_from_their_validated_modules() {
+        let m = syntax::Module {
+            funcs: vec![syntax::Func::Defined {
+                exports: vec!["main".into()],
+                ty: syntax::FunType::mono(vec![], vec![syntax::Type::num(NumType::I32)]),
+                locals: vec![],
+                body: vec![
+                    syntax::Instr::i32(41),
+                    syntax::Instr::i32(1),
+                    syntax::Instr::Num(syntax::NumInstr::IntBinop(
+                        NumType::I32,
+                        syntax::instr::IntBinop::Add,
+                    )),
+                ],
+            }],
+            ..syntax::Module::default()
+        };
+        let set = ModuleSet::new().richwasm("m", m);
+        for tier in [WasmTier::Bytecode, WasmTier::Tree] {
+            let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).wasm_tier(tier));
+            let artifact = engine.compile(&set).unwrap();
+            let loaded = Artifact::deserialize(&artifact.serialize().unwrap()).unwrap();
+            let rebuilt: Vec<CompiledModule> = loaded
+                .inner
+                .lowered
+                .iter()
+                .map(|(_, wm)| compile_wasm_bytecode(wm))
+                .collect();
+            if tier == WasmTier::Bytecode {
+                assert_eq!(loaded.inner.compiled, rebuilt, "runtime + guest");
+                assert_eq!(rebuilt.len(), 2);
+            } else {
+                assert!(
+                    loaded.inner.compiled.is_empty(),
+                    "tree tier has no bytecode"
+                );
+            }
+            assert_eq!(loaded.inner.compiled, artifact.inner.compiled);
+            let mut inst = loaded.instantiate().unwrap();
+            assert_eq!(inst.invoke_entry().unwrap().i32(), Some(42));
+        }
     }
 
     #[test]

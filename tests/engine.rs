@@ -1031,12 +1031,13 @@ fn artifact_serialize_round_trips_and_rejects_tampering() {
     assert!(hosted.serialize().is_none());
 }
 
-// The flat-bytecode tier: `.rwart` v3 persistence, step-for-step
-// agreement with the tree tier, and stale-format fallbacks.
+// The flat-bytecode tier: `.rwart` v4 persistence (bytecode rebuilt
+// on load), step-for-step agreement with the tree tier, and stale-format
+// fallbacks.
 
 /// The engine-side FNV-1a-128 the artifact checksum uses, replicated so
 /// tests can re-seal deliberately tampered payloads and reach the
-/// *post*-checksum fallback paths.
+/// checks that run after the checksum.
 fn fnv128(bytes: &[u8]) -> u128 {
     let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
     for &b in bytes {
@@ -1047,14 +1048,14 @@ fn fnv128(bytes: &[u8]) -> u128 {
 }
 
 #[test]
-fn bytecode_artifact_v3_round_trips_byte_exact() {
+fn bytecode_artifact_v4_round_trips_byte_exact() {
     let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
     let artifact = engine.compile(&counter_set()).unwrap();
-    let bytes = artifact.serialize().expect("v3 artifact serializes");
-    assert_eq!(&bytes[..6], b"RWART\x03", "v3 magic");
+    let bytes = artifact.serialize().expect("v4 artifact serializes");
+    assert_eq!(&bytes[..6], b"RWART\x04", "v4 magic");
 
-    // deserialize ∘ serialize is byte-identical: the embedded bytecode
-    // section survives the round trip exactly.
+    // deserialize ∘ serialize is byte-identical: modules, metadata and
+    // analysis reports survive the round trip exactly.
     let loaded = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
     let again = loaded.serialize().expect("loaded artifact re-serializes");
     assert_eq!(bytes, again, "serialize∘deserialize∘serialize must fix");
@@ -1076,14 +1077,26 @@ fn bytecode_artifact_v3_round_trips_byte_exact() {
     );
 }
 
+/// Rewrites a current `.rwart` file as format `version`, appending
+/// `trailer` (the sections that version had and v4 dropped) and
+/// re-sealing the checksum, so only the layout marks it stale.
+fn restamp(bytes: &[u8], version: u8, trailer: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..bytes.len() - 16].to_vec();
+    out[5] = version;
+    out.extend_from_slice(trailer);
+    let sum = fnv128(&out).to_le_bytes();
+    out.extend_from_slice(&sum);
+    out
+}
+
 #[test]
 fn v2_cache_files_fall_back_to_a_cold_recompile() {
     let dir = scratch_dir("v2_fallback");
     let config = || EngineConfig::new().exec(Exec::Wasm).cache_dir(&dir);
 
-    // Warm the disk cache, then rewrite the entry as a v2-era file:
-    // same payload, old magic, checksum re-sealed (so only the version
-    // byte distinguishes it from a genuine stale-format file).
+    // Warm the disk cache, then rewrite the entry as an older format's
+    // file: v2 (no trailing section) and v3 (an empty bytecode section,
+    // a `u32` count of zero, after the analysis reports).
     let a = Engine::with_config(config());
     let artifact = a.compile(&counter_set()).unwrap();
     let path = std::fs::read_dir(&dir)
@@ -1091,74 +1104,98 @@ fn v2_cache_files_fall_back_to_a_cold_recompile() {
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "rwart"))
         .expect("cache entry written");
-    let mut v2 = std::fs::read(&path).unwrap();
-    v2[5] = 0x02;
-    let body_len = v2.len() - 16;
-    let sum = fnv128(&v2[..body_len]).to_le_bytes();
-    v2[body_len..].copy_from_slice(&sum);
-    std::fs::write(&path, &v2).unwrap();
-    assert!(
-        richwasm_repro::Artifact::deserialize(&v2).is_err(),
-        "a v2 file must not deserialize as v3"
-    );
+    let current = std::fs::read(&path).unwrap();
+    for (version, trailer) in [(2u8, &[][..]), (3, &0u32.to_le_bytes()[..])] {
+        let stale = restamp(&current, version, trailer);
+        std::fs::write(&path, &stale).unwrap();
+        assert!(
+            richwasm_repro::Artifact::deserialize(&stale).is_err(),
+            "a v{version} file must not deserialize as v4"
+        );
 
-    // A fresh engine sees the stale file, counts a disk miss, recompiles
-    // cold, and still produces the identical artifact.
-    let b = Engine::with_config(config());
-    let recompiled = b.compile(&counter_set()).unwrap();
-    assert_eq!(b.cache_stats().disk_misses, 1, "stale v2 file is a miss");
-    assert_eq!(recompiled.key(), artifact.key());
-    assert_eq!(recompiled.wasm_binaries(), artifact.wasm_binaries());
+        // A fresh engine sees the stale file, counts a disk miss,
+        // recompiles cold, still produces the identical artifact, and
+        // rewrites the entry in the current format.
+        let b = Engine::with_config(config());
+        let recompiled = b.compile(&counter_set()).unwrap();
+        let stats = b.cache_stats();
+        assert_eq!(stats.disk_misses, 1, "stale v{version} file is a miss");
+        assert_eq!(stats.misses, 1, "v{version}: recompiled cold");
+        assert_eq!(recompiled.key(), artifact.key());
+        assert_eq!(recompiled.wasm_binaries(), artifact.wasm_binaries());
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            current,
+            "v{version} entry rewritten as v4"
+        );
+        let c = Engine::with_config(config());
+        c.compile(&counter_set()).unwrap();
+        assert_eq!(c.cache_stats().disk_hits, 1, "v{version}: rewrite hits");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn stale_bytecode_payload_recompiles_without_a_cold_compile() {
-    // Bump the self-versioned bytecode payload inside a valid v3 file
-    // (re-sealing the checksum): deserialize must succeed by
-    // recompiling the bytecode from the still-good `.wasm` bytes.
-    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
-    let artifact = engine.compile(&counter_set()).unwrap();
-    let bytes = artifact.serialize().unwrap();
-    let good = richwasm_repro::Artifact::deserialize(&bytes).unwrap();
+/// A `main` that returns `k`, as an external producer's `.wasm`.
+fn constant_main(k: i32) -> Vec<u8> {
+    let mut m = w::Module::default();
+    let t = m.intern_type(w::FuncType {
+        params: vec![],
+        results: vec![w::ValType::I32],
+    });
+    m.funcs.push(w::FuncDef {
+        type_idx: t,
+        locals: vec![],
+        body: vec![w::WInstr::I32Const(k)],
+    });
+    m.exports.push(w::Export {
+        name: "main".into(),
+        kind: w::ExportKind::Func(0),
+    });
+    encode_module(&m)
+}
 
-    // Each bytecode payload begins with its u16 format version. Rather
-    // than parse section offsets, locate each payload by re-encoding the
-    // known-good bytecode and searching for the exact bytes.
-    let mut stale = bytes;
-    let body_len = stale.len() - 16;
-    let n = artifact.wasm_binaries().len();
-    let mut patched = 0;
-    use richwasm_wasm::compile::{compile_module, encode_compiled};
-    for (_, wm) in good.lowered_modules() {
-        let mut payload = Vec::new();
-        encode_compiled(&compile_module(wm), &mut payload);
-        if let Some(pos) = stale[..body_len]
-            .windows(payload.len())
-            .position(|w| w == payload.as_slice())
-        {
-            // u16 LE version is the payload's first two bytes.
-            stale[pos] = 0xFF;
-            stale[pos + 1] = 0xFF;
-            patched += 1;
+/// The only code a `.rwart` file carries is its validated `.wasm`
+/// modules. Forge A's file with every byte after A's module that differs
+/// in B's file (B's `main` returns another constant) and re-seal the
+/// checksum: loading must either refuse the file or run A's module.
+#[test]
+fn a_loaded_artifact_runs_only_its_validated_wasm() {
+    const A: i32 = 1_234_567;
+    const B: i32 = 7_654_321;
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
+    let a = engine.load_wasm(constant_main(A)).unwrap();
+    let b = engine.load_wasm(constant_main(B)).unwrap();
+    let mut forged = a.serialize().unwrap();
+    let theirs = b.serialize().unwrap();
+    assert_eq!(forged.len(), theirs.len(), "A and B frame alike");
+
+    let (_, wasm) = a.wasm_binaries().last().unwrap();
+    let wasm_end = forged
+        .windows(wasm.len())
+        .position(|w| w == wasm.as_slice())
+        .expect("A's module is in A's file")
+        + wasm.len();
+    let body_len = forged.len() - 16;
+    let mut spliced = 0;
+    for i in wasm_end..body_len {
+        if forged[i] != theirs[i] {
+            forged[i] = theirs[i];
+            spliced += 1;
         }
     }
-    assert_eq!(patched, n, "every bytecode payload located and staled");
-    let sum = fnv128(&stale[..body_len]).to_le_bytes();
-    stale[body_len..].copy_from_slice(&sum);
+    let sum = fnv128(&forged[..body_len]).to_le_bytes();
+    forged[body_len..].copy_from_slice(&sum);
 
-    let fell_back = richwasm_repro::Artifact::deserialize(&stale)
-        .expect("stale bytecode must fall back to recompile, not fail");
-    let mut inst = fell_back.instantiate().unwrap();
-    inst.invoke("app", "setup", vec![Value::i32(2)]).unwrap();
-    inst.invoke("app", "bump", vec![Value::Unit]).unwrap();
-    assert_eq!(
-        inst.invoke("app", "total", vec![Value::Unit])
-            .unwrap()
-            .i32(),
-        Some(2)
-    );
+    if let Ok(loaded) = richwasm_repro::Artifact::deserialize(&forged) {
+        assert_eq!(loaded.wasm_binaries(), a.wasm_binaries());
+        let mut inst = loaded.instantiate().unwrap();
+        assert_eq!(
+            inst.invoke_entry().unwrap().i32(),
+            Some(A),
+            "{spliced} spliced bytes made A's file run other code"
+        );
+    }
 }
 
 /// The bytecode and tree tiers agree on every result and on the step
@@ -1235,7 +1272,7 @@ fn tree_tier_still_serves_and_caches_separately() {
             .i32(),
         Some(4)
     );
-    // Tree-tier artifacts carry no bytecode section but still serialize.
+    // Tree-tier artifacts serialize and load without building bytecode.
     let wasm_tree = Engine::with_config(
         EngineConfig::new()
             .exec(Exec::Wasm)
