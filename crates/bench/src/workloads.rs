@@ -506,6 +506,191 @@ pub fn wasm_branch_probes() -> Vec<(&'static str, w::Module, i32)> {
     ]
 }
 
+/// Wasm modules that probe float semantics Rust's defaults get wrong,
+/// each exporting a nullary `main`, paired with the result bits the
+/// Wasm spec gives (32-bit results zero-extended): `abs`, `neg`,
+/// `copysign` and a reinterpret round trip keep a signalling NaN's bits;
+/// `min`/`max` with a NaN operand give the positive canonical NaN and
+/// order −0 below +0; `nearest(−0.5)` is −0; and an int→float
+/// conversion rounds once (2⁵³ + 2²⁹ + 1 rounds up to 2⁵³ + 2³⁰ in f32;
+/// through f64 it would land on the tie and round down).
+pub fn wasm_float_probes() -> Vec<(&'static str, w::Module, u64)> {
+    use w::WInstr::*;
+    use w::Width::{W32, W64};
+    fn probe(result: w::ValType, body: Vec<w::WInstr>) -> w::Module {
+        let mut m = w::Module::default();
+        let main = m.intern_type(w::FuncType {
+            params: vec![],
+            results: vec![result],
+        });
+        m.funcs.push(w::FuncDef {
+            type_idx: main,
+            locals: vec![],
+            body,
+        });
+        m.exports.push(w::Export {
+            name: "main".into(),
+            kind: w::ExportKind::Func(0),
+        });
+        m
+    }
+    let f32p = |body| probe(w::ValType::F32, body);
+    let f64p = |body| probe(w::ValType::F64, body);
+    let snan32 = || F32Const(f32::from_bits(0x7fa0_0000));
+    let snan64 = || F64Const(f64::from_bits(0x7ff4_0000_0000_0000));
+    let (nan32, nan64) = (0x7fc0_0000, 0x7ff8_0000_0000_0000);
+    let rounds_up: u64 = (1 << 53) + (1 << 29) + 1;
+    vec![
+        (
+            "f32.abs_snan",
+            f32p(vec![snan32(), FUn(W32, w::FUnOp::Abs)]),
+            0x7fa0_0000,
+        ),
+        (
+            "f64.abs_snan",
+            f64p(vec![snan64(), FUn(W64, w::FUnOp::Abs)]),
+            0x7ff4_0000_0000_0000,
+        ),
+        (
+            "f32.neg_snan",
+            f32p(vec![snan32(), FUn(W32, w::FUnOp::Neg)]),
+            0xffa0_0000,
+        ),
+        (
+            "f64.neg_snan",
+            f64p(vec![snan64(), FUn(W64, w::FUnOp::Neg)]),
+            0xfff4_0000_0000_0000,
+        ),
+        (
+            "f32.copysign_snan",
+            f32p(vec![
+                snan32(),
+                F32Const(-1.0),
+                FBin(W32, w::FBinOp::Copysign),
+            ]),
+            0xffa0_0000,
+        ),
+        (
+            "f64.copysign_snan",
+            f64p(vec![
+                snan64(),
+                F64Const(-1.0),
+                FBin(W64, w::FBinOp::Copysign),
+            ]),
+            0xfff4_0000_0000_0000,
+        ),
+        (
+            "i32.reinterpret_f32_snan",
+            probe(w::ValType::I32, vec![snan32(), IReinterpretF(W32)]),
+            0x7fa0_0000,
+        ),
+        (
+            "i64.reinterpret_f64_snan",
+            probe(w::ValType::I64, vec![snan64(), IReinterpretF(W64)]),
+            0x7ff4_0000_0000_0000,
+        ),
+        (
+            "f32.min_nan",
+            f32p(vec![
+                F32Const(f32::NAN),
+                F32Const(1.0),
+                FBin(W32, w::FBinOp::Min),
+            ]),
+            nan32,
+        ),
+        (
+            "f64.min_nan",
+            f64p(vec![
+                F64Const(1.0),
+                F64Const(-f64::NAN),
+                FBin(W64, w::FBinOp::Min),
+            ]),
+            nan64,
+        ),
+        (
+            "f32.max_nan",
+            f32p(vec![F32Const(1.0), snan32(), FBin(W32, w::FBinOp::Max)]),
+            nan32,
+        ),
+        (
+            "f64.max_nan",
+            f64p(vec![
+                F64Const(f64::NAN),
+                F64Const(1.0),
+                FBin(W64, w::FBinOp::Max),
+            ]),
+            nan64,
+        ),
+        (
+            "f32.min_zeros",
+            f32p(vec![
+                F32Const(0.0),
+                F32Const(-0.0),
+                FBin(W32, w::FBinOp::Min),
+            ]),
+            0x8000_0000,
+        ),
+        (
+            "f64.min_zeros",
+            f64p(vec![
+                F64Const(0.0),
+                F64Const(-0.0),
+                FBin(W64, w::FBinOp::Min),
+            ]),
+            1 << 63,
+        ),
+        (
+            "f32.max_zeros",
+            f32p(vec![
+                F32Const(-0.0),
+                F32Const(0.0),
+                FBin(W32, w::FBinOp::Max),
+            ]),
+            0,
+        ),
+        (
+            "f64.max_zeros",
+            f64p(vec![
+                F64Const(-0.0),
+                F64Const(0.0),
+                FBin(W64, w::FBinOp::Max),
+            ]),
+            0,
+        ),
+        (
+            "f32.nearest_neg_half",
+            f32p(vec![F32Const(-0.5), FUn(W32, w::FUnOp::Nearest)]),
+            0x8000_0000,
+        ),
+        (
+            "f64.nearest_neg_half",
+            f64p(vec![F64Const(-0.5), FUn(W64, w::FUnOp::Nearest)]),
+            1 << 63,
+        ),
+        (
+            "f32.convert_i64_u",
+            f32p(vec![
+                I64Const(rounds_up as i64),
+                FConvertI(W32, W64, w::Sx::U),
+            ]),
+            0x5a00_0001, // 2^53 + 2^30
+        ),
+        (
+            "f32.convert_i64_s",
+            f32p(vec![
+                I64Const(-(rounds_up as i64)),
+                FConvertI(W32, W64, w::Sx::S),
+            ]),
+            0xda00_0001,
+        ),
+        (
+            "f64.convert_i64_u",
+            f64p(vec![I64Const(-1), FConvertI(W64, W64, w::Sx::U)]),
+            0x43f0_0000_0000_0000, // 2^64
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

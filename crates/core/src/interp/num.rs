@@ -200,21 +200,42 @@ pub fn float_unop(nt: NumType, op: FloatUnop, a: u64) -> u64 {
 }
 
 fn nearest32(x: f32) -> f32 {
-    // Round-to-nearest, ties-to-even (Wasm semantics).
+    // Round-to-nearest, ties-to-even (Wasm semantics); `round` breaks
+    // ties away from zero. The result keeps the operand's sign, so
+    // -0.5 rounds to -0.
     let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
+    let r = if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
         r - x.signum()
     } else {
         r
-    }
+    };
+    r.copysign(x)
 }
 
 fn nearest64(x: f64) -> f64 {
     let r = x.round();
-    if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
+    let r = if (x - x.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
         r - x.signum()
     } else {
         r
+    };
+    r.copysign(x)
+}
+
+/// Wasm `min`/`max`: the canonical NaN if either operand is NaN, and
+/// -0 orders below +0 (`f32::min`/`max` return the other operand for a
+/// NaN and either zero for a pair of zeros).
+fn min_max<F: Copy + PartialOrd>(x: F, y: F, min: bool, nan: F, negative: fn(F) -> bool) -> F {
+    use std::cmp::Ordering;
+    let pick_x = match x.partial_cmp(&y) {
+        None => return nan,
+        Some(Ordering::Equal) => negative(x) == min,
+        Some(o) => (o == Ordering::Less) == min,
+    };
+    if pick_x {
+        x
+    } else {
+        y
     }
 }
 
@@ -227,8 +248,13 @@ pub fn float_binop(nt: NumType, op: FloatBinop, a: u64, b: u64) -> u64 {
             FloatBinop::Sub => x - y,
             FloatBinop::Mul => x * y,
             FloatBinop::Div => x / y,
-            FloatBinop::Min => x.min(y),
-            FloatBinop::Max => x.max(y),
+            FloatBinop::Min | FloatBinop::Max => min_max(
+                x,
+                y,
+                op == FloatBinop::Min,
+                f32::from_bits(0x7fc0_0000),
+                f32::is_sign_negative,
+            ),
             FloatBinop::Copysign => x.copysign(y),
         };
         r.to_bits() as u64
@@ -239,8 +265,13 @@ pub fn float_binop(nt: NumType, op: FloatBinop, a: u64, b: u64) -> u64 {
             FloatBinop::Sub => x - y,
             FloatBinop::Mul => x * y,
             FloatBinop::Div => x / y,
-            FloatBinop::Min => x.min(y),
-            FloatBinop::Max => x.max(y),
+            FloatBinop::Min | FloatBinop::Max => min_max(
+                x,
+                y,
+                op == FloatBinop::Min,
+                f64::from_bits(0x7ff8_0000_0000_0000),
+                f64::is_sign_negative,
+            ),
             FloatBinop::Copysign => x.copysign(y),
         };
         r.to_bits()
@@ -440,6 +471,42 @@ mod tests {
             float_unop(NumType::F64, FloatUnop::Neg, a),
             (-1.5f64).to_bits()
         );
+        // min/max: a NaN operand gives the canonical NaN; -0 < +0.
+        let f32b = |x: f32| x.to_bits() as u64;
+        let (min32, max32) = (FloatBinop::Min, FloatBinop::Max);
+        assert_eq!(
+            float_binop(NumType::F32, min32, f32b(f32::NAN), f32b(1.0)),
+            0x7fc0_0000
+        );
+        assert_eq!(
+            float_binop(NumType::F32, max32, f32b(1.0), 0x7fa0_0000),
+            0x7fc0_0000
+        );
+        assert_eq!(
+            float_binop(
+                NumType::F64,
+                FloatBinop::Max,
+                1.0f64.to_bits(),
+                f64::NAN.to_bits()
+            ),
+            0x7ff8_0000_0000_0000
+        );
+        assert_eq!(
+            float_binop(NumType::F32, min32, f32b(0.0), f32b(-0.0)),
+            f32b(-0.0)
+        );
+        assert_eq!(
+            float_binop(NumType::F32, max32, f32b(-0.0), f32b(0.0)),
+            f32b(0.0)
+        );
+        assert_eq!(
+            float_binop(NumType::F64, FloatBinop::Min, (-0.0f64).to_bits(), 0),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(
+            float_binop(NumType::F32, min32, f32b(2.0), f32b(-3.0)),
+            f32b(-3.0)
+        );
     }
 
     #[test]
@@ -451,6 +518,21 @@ mod tests {
         assert_eq!(
             float_unop(NumType::F64, FloatUnop::Nearest, 3.5f64.to_bits()),
             4.0f64.to_bits()
+        );
+        // The sign of zero survives: -0.5 and -0.4 round to -0.
+        for x in [-0.5f32, -0.4] {
+            assert_eq!(
+                float_unop(NumType::F32, FloatUnop::Nearest, x.to_bits() as u64),
+                (-0.0f32).to_bits() as u64
+            );
+            assert_eq!(
+                float_unop(NumType::F64, FloatUnop::Nearest, (x as f64).to_bits()),
+                (-0.0f64).to_bits()
+            );
+        }
+        assert_eq!(
+            float_unop(NumType::F32, FloatUnop::Nearest, 0.5f32.to_bits() as u64),
+            0
         );
     }
 

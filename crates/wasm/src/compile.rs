@@ -196,10 +196,6 @@ pub enum Op {
     F32DemoteF64,
     /// `f64.promote_f32`.
     F64PromoteF32,
-    /// `iNN.reinterpret_fNN`.
-    IReinterpretF(Width),
-    /// `fNN.reinterpret_iNN`.
-    FReinterpretI(Width),
     // --- Fused superinstructions (see the module docs). Field order is
     // chosen so every variant stays within 16 bytes. ---
     /// Fused `local.get i; const c; ibin` — fields `(w, op, i, c)`,
@@ -1195,8 +1191,9 @@ impl Compiler<'_> {
             FConvertI(fw, iw, sx) => self.code.push(Op::FConvertI(*fw, *iw, *sx)),
             F32DemoteF64 => self.code.push(Op::F32DemoteF64),
             F64PromoteF32 => self.code.push(Op::F64PromoteF32),
-            IReinterpretF(w) => self.code.push(Op::IReinterpretF(*w)),
-            FReinterpretI(w) => self.code.push(Op::FReinterpretI(*w)),
+            // Slots are bit patterns, so a reinterpret changes nothing but
+            // still costs its one step.
+            IReinterpretF(_) | FReinterpretI(_) => self.code.push(Op::Nop),
         }
         Ok(())
     }

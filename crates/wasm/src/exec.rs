@@ -1,11 +1,18 @@
 //! The WebAssembly interpreter: a tree-walking evaluator over validated
 //! modules, with a multi-module store and typed import resolution.
+//!
+//! The evaluator keeps a typed [`Val`] stack and checks each operand's
+//! type as it pops it; what an operator or memory access then computes
+//! comes from the crate-private `num` module, on bit patterns, exactly
+//! as in the bytecode VM ([`crate::vm`]).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::ast::*;
+use crate::num::{self, memory_grow, t_size};
+use crate::vm::{slot_of, val_of};
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,30 +100,12 @@ impl fmt::Display for WasmTrap {
 
 impl std::error::Error for WasmTrap {}
 
-fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
+pub(crate) fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
     Err(WasmTrap(msg.into()))
 }
 
 /// One 64 KiB Wasm page.
 pub const PAGE: usize = 65536;
-
-/// The most pages a 32-bit memory can have: 65536 × 64 KiB = 4 GiB.
-const MAX_PAGES: u32 = 65536;
-
-/// `memory.grow` on `mem`: grows it by `delta` pages and returns the old
-/// size in pages, or returns `-1` (`u32::MAX`) and leaves `mem` as it was
-/// when the result would exceed [`MAX_PAGES`]. Shared by both tiers so
-/// they agree on every `delta`.
-pub(crate) fn memory_grow(mem: &mut Vec<u8>, delta: u32) -> u32 {
-    let old = (mem.len() / PAGE) as u32;
-    match old.checked_add(delta) {
-        Some(new) if new <= MAX_PAGES => {
-            mem.resize(new as usize * PAGE, 0);
-            old
-        }
-        _ => u32::MAX,
-    }
-}
 
 /// Address of a function in the store.
 type FuncAddr = usize;
@@ -778,59 +767,24 @@ impl Activation {
                 linker.globals[addr] = v;
             }
             Load(t, off) => {
-                let base = self.pop_i32()? as usize;
-                let addr = base + *off as usize;
-                let bytes = t_size(*t);
-                let mem = self.mem(linker)?;
-                if addr + bytes > mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                let mut buf = [0u8; 8];
-                buf[..bytes].copy_from_slice(&mem[addr..addr + bytes]);
-                let raw = u64::from_le_bytes(buf);
-                self.stack.push(match t {
-                    ValType::I32 => Val::I32(raw as u32),
-                    ValType::I64 => Val::I64(raw),
-                    ValType::F32 => Val::F32(f32::from_bits(raw as u32)),
-                    ValType::F64 => Val::F64(f64::from_bits(raw)),
-                });
+                let base = self.pop_i32()?;
+                let raw = num::load(self.mem(linker)?, base.into(), *off, t_size(*t))?;
+                self.stack.push(val_of(*t, raw));
             }
             Store(t, off) => {
                 let v = self.pop()?;
-                let base = self.pop_i32()? as usize;
-                let addr = base + *off as usize;
-                let bytes = t_size(*t);
-                let raw = match v {
-                    Val::I32(x) => x as u64,
-                    Val::I64(x) => x,
-                    Val::F32(x) => x.to_bits() as u64,
-                    Val::F64(x) => x.to_bits(),
-                };
-                let mem = self.mem(linker)?;
-                if addr + bytes > mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                mem[addr..addr + bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
+                let base = self.pop_i32()?;
+                num::store(self.mem(linker)?, base.into(), *off, t_size(*t), slot_of(v))?;
             }
             Load8U(off) => {
-                let base = self.pop_i32()? as usize;
-                let addr = base + *off as usize;
-                let mem = self.mem(linker)?;
-                if addr >= mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                let b = mem[addr];
+                let base = self.pop_i32()?;
+                let b = num::load(self.mem(linker)?, base.into(), *off, 1)?;
                 self.stack.push(Val::I32(b as u32));
             }
             Store8(off) => {
                 let v = self.pop_i32()?;
-                let base = self.pop_i32()? as usize;
-                let addr = base + *off as usize;
-                let mem = self.mem(linker)?;
-                if addr >= mem.len() {
-                    return trap("out of bounds memory access");
-                }
-                mem[addr] = v as u8;
+                let base = self.pop_i32()?;
+                num::store(self.mem(linker)?, base.into(), *off, 1, v.into())?;
             }
             MemorySize => {
                 let pages = (self.mem(linker)?.len() / PAGE) as u32;
@@ -847,77 +801,36 @@ impl Activation {
             F64Const(c) => self.stack.push(Val::F64(*c)),
             IUn(w, op) => {
                 let a = self.pop_int(*w)?;
-                let r = match (w, op) {
-                    (Width::W32, IUnOp::Clz) => (a as u32).leading_zeros() as u64,
-                    (Width::W32, IUnOp::Ctz) => (a as u32).trailing_zeros() as u64,
-                    (Width::W32, IUnOp::Popcnt) => (a as u32).count_ones() as u64,
-                    (Width::W64, IUnOp::Clz) => a.leading_zeros() as u64,
-                    (Width::W64, IUnOp::Ctz) => a.trailing_zeros() as u64,
-                    (Width::W64, IUnOp::Popcnt) => a.count_ones() as u64,
-                };
-                self.push_int(*w, r);
+                self.push_int(*w, num::iun(*w, *op, a));
             }
             IBin(w, op) => {
                 let b = self.pop_int(*w)?;
                 let a = self.pop_int(*w)?;
-                let r = ibin(*w, *op, a, b)?;
+                let r = num::ibin(*w, *op, a, b)?;
                 self.push_int(*w, r);
             }
             ITest(w) => {
                 let a = self.pop_int(*w)?;
-                self.stack.push(Val::I32((a == 0) as u32));
+                self.stack.push(Val::I32(num::itest(*w, a) as u32));
             }
             IRel(w, op) => {
                 let b = self.pop_int(*w)?;
                 let a = self.pop_int(*w)?;
-                self.stack.push(Val::I32(irel(*w, *op, a, b) as u32));
+                self.stack.push(Val::I32(num::irel(*w, *op, a, b) as u32));
             }
             FUn(w, op) => {
                 let a = self.pop_float(*w)?;
-                let r = match op {
-                    FUnOp::Abs => a.abs(),
-                    FUnOp::Neg => -a,
-                    FUnOp::Sqrt => a.sqrt(),
-                    FUnOp::Ceil => a.ceil(),
-                    FUnOp::Floor => a.floor(),
-                    FUnOp::Trunc => a.trunc(),
-                    FUnOp::Nearest => {
-                        let r = a.round();
-                        if (a - a.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-                            r - a.signum()
-                        } else {
-                            r
-                        }
-                    }
-                };
-                self.push_float(*w, r);
+                self.push_float(*w, num::fun(*w, *op, a));
             }
             FBin(w, op) => {
                 let b = self.pop_float(*w)?;
                 let a = self.pop_float(*w)?;
-                let r = match op {
-                    FBinOp::Add => a + b,
-                    FBinOp::Sub => a - b,
-                    FBinOp::Mul => a * b,
-                    FBinOp::Div => a / b,
-                    FBinOp::Min => a.min(b),
-                    FBinOp::Max => a.max(b),
-                    FBinOp::Copysign => a.copysign(b),
-                };
-                self.push_float(*w, r);
+                self.push_float(*w, num::fbin(*w, *op, a, b));
             }
             FRel(w, op) => {
                 let b = self.pop_float(*w)?;
                 let a = self.pop_float(*w)?;
-                let r = match op {
-                    FRelOp::Eq => a == b,
-                    FRelOp::Ne => a != b,
-                    FRelOp::Lt => a < b,
-                    FRelOp::Gt => a > b,
-                    FRelOp::Le => a <= b,
-                    FRelOp::Ge => a >= b,
-                };
-                self.stack.push(Val::I32(r as u32));
+                self.stack.push(Val::I32(num::frel(*w, *op, a, b) as u32));
             }
             I32WrapI64 => {
                 let a = self.pop_int(Width::W64)?;
@@ -925,77 +838,32 @@ impl Activation {
             }
             I64ExtendI32(sx) => {
                 let a = self.pop_int(Width::W32)?;
-                let r = match sx {
-                    Sx::S => a as u32 as i32 as i64 as u64,
-                    Sx::U => a as u32 as u64,
-                };
-                self.stack.push(Val::I64(r));
+                self.stack.push(Val::I64(num::extend(*sx, a)));
             }
             ITruncF(iw, fw, sx) => {
                 let a = self.pop_float(*fw)?;
-                if a.is_nan() {
-                    return trap("invalid conversion to integer");
-                }
-                let t = a.trunc();
-                let r = match (iw, sx) {
-                    (Width::W32, Sx::S) => {
-                        if t < i32::MIN as f64 || t > i32::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as i32 as u32 as u64
-                    }
-                    (Width::W32, Sx::U) => {
-                        if t < 0.0 || t > u32::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as u32 as u64
-                    }
-                    (Width::W64, Sx::S) => {
-                        if t < i64::MIN as f64 || t >= i64::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as i64 as u64
-                    }
-                    (Width::W64, Sx::U) => {
-                        if t < 0.0 || t >= u64::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as u64
-                    }
-                };
+                let r = num::itrunc(*iw, *fw, *sx, a)?;
                 self.push_int(*iw, r);
             }
             FConvertI(fw, iw, sx) => {
                 let a = self.pop_int(*iw)?;
-                let x = match (iw, sx) {
-                    (Width::W32, Sx::S) => a as u32 as i32 as f64,
-                    (Width::W32, Sx::U) => a as u32 as f64,
-                    (Width::W64, Sx::S) => a as i64 as f64,
-                    (Width::W64, Sx::U) => a as f64,
-                };
-                self.push_float(*fw, x);
+                self.push_float(*fw, num::fconvert(*fw, *iw, *sx, a));
             }
             F32DemoteF64 => {
                 let a = self.pop_float(Width::W64)?;
-                self.stack.push(Val::F32(a as f32));
+                self.push_float(Width::W32, num::demote(a));
             }
             F64PromoteF32 => {
                 let a = self.pop_float(Width::W32)?;
-                self.stack.push(Val::F64(a));
+                self.push_float(Width::W64, num::promote(a));
             }
             IReinterpretF(w) => {
                 let a = self.pop_float(*w)?;
-                match w {
-                    Width::W32 => self.stack.push(Val::I32((a as f32).to_bits())),
-                    Width::W64 => self.stack.push(Val::I64(a.to_bits())),
-                }
+                self.push_int(*w, a);
             }
             FReinterpretI(w) => {
                 let a = self.pop_int(*w)?;
-                match w {
-                    Width::W32 => self.stack.push(Val::F32(f32::from_bits(a as u32))),
-                    Width::W64 => self.stack.push(Val::F64(f64::from_bits(a))),
-                }
+                self.push_float(*w, a);
             }
         }
         Ok(Flow::Normal)
@@ -1067,158 +935,19 @@ impl Activation {
         }
     }
 
-    fn pop_float(&mut self, w: Width) -> Result<f64, WasmTrap> {
+    /// Pops a float of width `w` as its bit pattern.
+    fn pop_float(&mut self, w: Width) -> Result<u64, WasmTrap> {
         match (w, self.pop()?) {
-            (Width::W32, Val::F32(v)) => Ok(v as f64),
-            (Width::W64, Val::F64(v)) => Ok(v),
+            (Width::W32, v @ Val::F32(_)) | (Width::W64, v @ Val::F64(_)) => Ok(slot_of(v)),
             (_, other) => trap(format!("expected float, got {other}")),
         }
     }
 
-    fn push_float(&mut self, w: Width, v: f64) {
-        match w {
-            Width::W32 => self.stack.push(Val::F32(v as f32)),
-            Width::W64 => self.stack.push(Val::F64(v)),
-        }
-    }
-}
-
-pub(crate) fn t_size(t: ValType) -> usize {
-    match t {
-        ValType::I32 | ValType::F32 => 4,
-        ValType::I64 | ValType::F64 => 8,
-    }
-}
-
-pub(crate) fn ibin(w: Width, op: IBinOp, a: u64, b: u64) -> Result<u64, WasmTrap> {
-    let mask = |v: u64| {
-        if matches!(w, Width::W32) {
-            v & 0xFFFF_FFFF
-        } else {
-            v
-        }
-    };
-    let r = match (w, op) {
-        (Width::W32, op) => {
-            let (x, y) = (a as u32, b as u32);
-            match op {
-                IBinOp::Add => x.wrapping_add(y) as u64,
-                IBinOp::Sub => x.wrapping_sub(y) as u64,
-                IBinOp::Mul => x.wrapping_mul(y) as u64,
-                IBinOp::Div(Sx::U) => {
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    (x / y) as u64
-                }
-                IBinOp::Div(Sx::S) => {
-                    let (x, y) = (x as i32, y as i32);
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    if x == i32::MIN && y == -1 {
-                        return trap("integer overflow");
-                    }
-                    (x / y) as u32 as u64
-                }
-                IBinOp::Rem(Sx::U) => {
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    (x % y) as u64
-                }
-                IBinOp::Rem(Sx::S) => {
-                    let (x, y) = (x as i32, y as i32);
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    x.wrapping_rem(y) as u32 as u64
-                }
-                IBinOp::And => (x & y) as u64,
-                IBinOp::Or => (x | y) as u64,
-                IBinOp::Xor => (x ^ y) as u64,
-                IBinOp::Shl => x.wrapping_shl(y) as u64,
-                IBinOp::Shr(Sx::U) => x.wrapping_shr(y) as u64,
-                IBinOp::Shr(Sx::S) => (x as i32).wrapping_shr(y) as u32 as u64,
-                IBinOp::Rotl => x.rotate_left(y % 32) as u64,
-                IBinOp::Rotr => x.rotate_right(y % 32) as u64,
-            }
-        }
-        (Width::W64, op) => {
-            let (x, y) = (a, b);
-            match op {
-                IBinOp::Add => x.wrapping_add(y),
-                IBinOp::Sub => x.wrapping_sub(y),
-                IBinOp::Mul => x.wrapping_mul(y),
-                IBinOp::Div(Sx::U) => {
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    x / y
-                }
-                IBinOp::Div(Sx::S) => {
-                    let (x, y) = (x as i64, y as i64);
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    if x == i64::MIN && y == -1 {
-                        return trap("integer overflow");
-                    }
-                    (x / y) as u64
-                }
-                IBinOp::Rem(Sx::U) => {
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    x % y
-                }
-                IBinOp::Rem(Sx::S) => {
-                    let (x, y) = (x as i64, y as i64);
-                    if y == 0 {
-                        return trap("integer divide by zero");
-                    }
-                    x.wrapping_rem(y) as u64
-                }
-                IBinOp::And => x & y,
-                IBinOp::Or => x | y,
-                IBinOp::Xor => x ^ y,
-                IBinOp::Shl => x.wrapping_shl(b as u32),
-                IBinOp::Shr(Sx::U) => x.wrapping_shr(b as u32),
-                IBinOp::Shr(Sx::S) => (x as i64).wrapping_shr(b as u32) as u64,
-                IBinOp::Rotl => x.rotate_left((b % 64) as u32),
-                IBinOp::Rotr => x.rotate_right((b % 64) as u32),
-            }
-        }
-    };
-    Ok(mask(r))
-}
-
-pub(crate) fn irel(w: Width, op: IRelOp, a: u64, b: u64) -> bool {
-    use std::cmp::Ordering::*;
-    let cmp = |sx: Sx| match (w, sx) {
-        (Width::W32, Sx::U) => (a as u32).cmp(&(b as u32)),
-        (Width::W32, Sx::S) => (a as u32 as i32).cmp(&(b as u32 as i32)),
-        (Width::W64, Sx::U) => a.cmp(&b),
-        (Width::W64, Sx::S) => (a as i64).cmp(&(b as i64)),
-    };
-    match op {
-        IRelOp::Eq => {
-            if matches!(w, Width::W32) {
-                (a as u32) == (b as u32)
-            } else {
-                a == b
-            }
-        }
-        IRelOp::Ne => {
-            if matches!(w, Width::W32) {
-                (a as u32) != (b as u32)
-            } else {
-                a != b
-            }
-        }
-        IRelOp::Lt(s) => cmp(s) == Less,
-        IRelOp::Gt(s) => cmp(s) == Greater,
-        IRelOp::Le(s) => cmp(s) != Greater,
-        IRelOp::Ge(s) => cmp(s) != Less,
+    fn push_float(&mut self, w: Width, bits: u64) {
+        let t = match w {
+            Width::W32 => ValType::F32,
+            Width::W64 => ValType::F64,
+        };
+        self.stack.push(val_of(t, bits));
     }
 }

@@ -14,26 +14,26 @@
 //! place when it returns. Branch targets are frame-relative and offset
 //! by the frame base at run time.
 //!
-//! The VM is **observationally identical** to the tree-walker, which
-//! follows the spec and serves as the reference: the same results
-//! bit-for-bit, the same trap messages, and the same fuel accounting
-//! (each op that corresponds to a dispatched instruction charges one
-//! step against [`WasmLinker::max_steps`]; the flattening's two
-//! synthetic ops are free — see [`crate::compile`] for the argument).
-//! The fuzz farm's harness pins this equivalence. Calls dispatch per
-//! callee: compiled functions recurse directly on the shared slot
-//! stack, while host functions (and functions of an instance with no
-//! attached bytecode) go back through [`WasmLinker`]'s
-//! `call_function` — host record/replay, fuel, and `reset()` all flow
-//! through unchanged.
+//! Every numeric operator and memory access, plain or fused, calls the
+//! same function in the crate-private `num` module as the tree-walker,
+//! so the two tiers share one instruction semantics. What the VM adds —
+//! and what the tier differential checks — is control flow, calls,
+//! traps and fuel: it is **observationally identical** to the
+//! tree-walker there, with the same results bit-for-bit, the same trap
+//! messages, and the same fuel accounting (each op that corresponds to
+//! a dispatched instruction charges one step against
+//! [`WasmLinker::max_steps`]; the flattening's two synthetic ops are
+//! free — see [`crate::compile`] for the argument). The fuzz farm's
+//! harness pins this equivalence. Calls dispatch per callee: compiled
+//! functions recurse directly on the shared slot stack, while host
+//! functions (and functions of an instance with no attached bytecode)
+//! go back through [`WasmLinker`]'s `call_function` — host
+//! record/replay, fuel, and `reset()` all flow through unchanged.
 
-use crate::ast::{ValType, Width};
+use crate::ast::ValType;
 use crate::compile::{BranchTarget, CompiledFunc, Op};
-use crate::exec::{ibin, irel, memory_grow, t_size, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
-
-fn trap<T>(msg: impl Into<String>) -> Result<T, WasmTrap> {
-    Err(WasmTrap(msg.into()))
-}
+use crate::exec::{trap, FuncImpl, Val, WasmLinker, WasmTrap, PAGE};
+use crate::num::{self, ibin, irel, itest, memory_grow, t_size};
 
 /// A typed value's slot representation: the raw bit pattern,
 /// zero-extended to 64 bits.
@@ -68,23 +68,12 @@ fn pop(stack: &mut Vec<u64>, base: usize) -> Result<u64, WasmTrap> {
     Ok(stack.pop().expect("len > base >= 0"))
 }
 
+/// The running instance's memory (its address `mem` is resolved once
+/// per activation), or the tree-walker's `no memory` trap.
 #[inline]
-fn pop_f(stack: &mut Vec<u64>, base: usize, w: Width) -> Result<f64, WasmTrap> {
-    let s = pop(stack, base)?;
-    Ok(match w {
-        Width::W32 => f32::from_bits(s as u32) as f64,
-        Width::W64 => f64::from_bits(s),
-    })
-}
-
-#[inline]
-fn push_f(stack: &mut Vec<u64>, w: Width, v: f64) {
-    stack.push(match w {
-        // The tree-walker computes f32 ops in f64 and narrows on push;
-        // narrowing here keeps the results bit-identical.
-        Width::W32 => (v as f32).to_bits() as u64,
-        Width::W64 => v.to_bits(),
-    });
+fn memory(linker: &mut WasmLinker, mem: Option<usize>) -> Result<&mut Vec<u8>, WasmTrap> {
+    let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
+    Ok(&mut linker.memories[ma])
 }
 
 /// Applies a pre-resolved branch: keep the top `keep` slots, truncate to
@@ -300,87 +289,34 @@ fn run(
                 linker.globals[addr] = val_of(*ty, v);
             }
             Op::Load { ty, offset } => {
-                let a = pop(stack, base)? as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &linker.memories[ma];
-                // Fixed-width accesses (4 or 8 bytes, decided by the
-                // static type) compile to single loads; the generic
-                // `copy_from_slice` path would be a memcpy call per op.
-                let v = if t_size(*ty) == 4 {
-                    let Some(b) = m.get(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64
-                } else {
-                    let Some(b) = m.get(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-                };
-                stack.push(v);
+                let a = pop(stack, base)?;
+                stack.push(num::load(memory(linker, mem)?, a, *offset, t_size(*ty))?);
             }
             Op::Store { ty, offset } => {
-                let raw = pop(stack, base)?;
-                let a = pop(stack, base)? as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                let v = pop(stack, base)?;
+                let a = pop(stack, base)?;
+                num::store(memory(linker, mem)?, a, *offset, t_size(*ty), v)?;
             }
             Op::Load8U(offset) => {
-                let a = pop(stack, base)? as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &linker.memories[ma];
-                if addr >= m.len() {
-                    return trap("out of bounds memory access");
-                }
-                stack.push(m[addr] as u64);
+                let a = pop(stack, base)?;
+                stack.push(num::load(memory(linker, mem)?, a, *offset, 1)?);
             }
             Op::Store8(offset) => {
                 let v = pop(stack, base)?;
-                let a = pop(stack, base)? as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if addr >= m.len() {
-                    return trap("out of bounds memory access");
-                }
-                m[addr] = v as u8;
+                let a = pop(stack, base)?;
+                num::store(memory(linker, mem)?, a, *offset, 1, v)?;
             }
             Op::MemorySize => {
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                stack.push((linker.memories[ma].len() / PAGE) as u64);
+                stack.push((memory(linker, mem)?.len() / PAGE) as u64);
             }
             Op::MemoryGrow => {
                 let delta = pop(stack, base)? as u32;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                stack.push(u64::from(memory_grow(&mut linker.memories[ma], delta)));
+                stack.push(u64::from(memory_grow(memory(linker, mem)?, delta)));
             }
             Op::Const(v) => stack.push(*v),
             Op::IUn(w, op) => {
                 let a = pop(stack, base)?;
-                use crate::ast::IUnOp;
-                let r = match (w, op) {
-                    (Width::W32, IUnOp::Clz) => (a as u32).leading_zeros() as u64,
-                    (Width::W32, IUnOp::Ctz) => (a as u32).trailing_zeros() as u64,
-                    (Width::W32, IUnOp::Popcnt) => (a as u32).count_ones() as u64,
-                    (Width::W64, IUnOp::Clz) => a.leading_zeros() as u64,
-                    (Width::W64, IUnOp::Ctz) => a.trailing_zeros() as u64,
-                    (Width::W64, IUnOp::Popcnt) => a.count_ones() as u64,
-                };
-                stack.push(r);
+                stack.push(num::iun(*w, *op, a));
             }
             Op::IBin(w, op) => {
                 let b = pop(stack, base)?;
@@ -389,11 +325,7 @@ fn run(
             }
             Op::ITest(w) => {
                 let a = pop(stack, base)?;
-                let z = match w {
-                    Width::W32 => a as u32 == 0,
-                    Width::W64 => a == 0,
-                };
-                stack.push(z as u64);
+                stack.push(itest(*w, a) as u64);
             }
             Op::IRel(w, op) => {
                 let b = pop(stack, base)?;
@@ -401,54 +333,18 @@ fn run(
                 stack.push(irel(*w, *op, a, b) as u64);
             }
             Op::FUn(w, op) => {
-                let a = pop_f(stack, base, *w)?;
-                use crate::ast::FUnOp;
-                let r = match op {
-                    FUnOp::Abs => a.abs(),
-                    FUnOp::Neg => -a,
-                    FUnOp::Sqrt => a.sqrt(),
-                    FUnOp::Ceil => a.ceil(),
-                    FUnOp::Floor => a.floor(),
-                    FUnOp::Trunc => a.trunc(),
-                    FUnOp::Nearest => {
-                        let r = a.round();
-                        if (a - a.trunc()).abs() == 0.5 && r % 2.0 != 0.0 {
-                            r - a.signum()
-                        } else {
-                            r
-                        }
-                    }
-                };
-                push_f(stack, *w, r);
+                let a = pop(stack, base)?;
+                stack.push(num::fun(*w, *op, a));
             }
             Op::FBin(w, op) => {
-                let b = pop_f(stack, base, *w)?;
-                let a = pop_f(stack, base, *w)?;
-                use crate::ast::FBinOp;
-                let r = match op {
-                    FBinOp::Add => a + b,
-                    FBinOp::Sub => a - b,
-                    FBinOp::Mul => a * b,
-                    FBinOp::Div => a / b,
-                    FBinOp::Min => a.min(b),
-                    FBinOp::Max => a.max(b),
-                    FBinOp::Copysign => a.copysign(b),
-                };
-                push_f(stack, *w, r);
+                let b = pop(stack, base)?;
+                let a = pop(stack, base)?;
+                stack.push(num::fbin(*w, *op, a, b));
             }
             Op::FRel(w, op) => {
-                let b = pop_f(stack, base, *w)?;
-                let a = pop_f(stack, base, *w)?;
-                use crate::ast::FRelOp;
-                let r = match op {
-                    FRelOp::Eq => a == b,
-                    FRelOp::Ne => a != b,
-                    FRelOp::Lt => a < b,
-                    FRelOp::Gt => a > b,
-                    FRelOp::Le => a <= b,
-                    FRelOp::Ge => a >= b,
-                };
-                stack.push(r as u64);
+                let b = pop(stack, base)?;
+                let a = pop(stack, base)?;
+                stack.push(num::frel(*w, *op, a, b) as u64);
             }
             Op::I32WrapI64 => {
                 let a = pop(stack, base)?;
@@ -456,81 +352,23 @@ fn run(
             }
             Op::I64ExtendI32(sx) => {
                 let a = pop(stack, base)?;
-                use crate::ast::Sx;
-                stack.push(match sx {
-                    Sx::S => a as u32 as i32 as i64 as u64,
-                    Sx::U => a as u32 as u64,
-                });
+                stack.push(num::extend(*sx, a));
             }
             Op::ITruncF(iw, fw, sx) => {
-                let a = pop_f(stack, base, *fw)?;
-                if a.is_nan() {
-                    return trap("invalid conversion to integer");
-                }
-                let t = a.trunc();
-                use crate::ast::Sx;
-                let r = match (iw, sx) {
-                    (Width::W32, Sx::S) => {
-                        if t < i32::MIN as f64 || t > i32::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as i32 as u32 as u64
-                    }
-                    (Width::W32, Sx::U) => {
-                        if t < 0.0 || t > u32::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as u32 as u64
-                    }
-                    (Width::W64, Sx::S) => {
-                        if t < i64::MIN as f64 || t >= i64::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as i64 as u64
-                    }
-                    (Width::W64, Sx::U) => {
-                        if t < 0.0 || t >= u64::MAX as f64 {
-                            return trap("integer overflow");
-                        }
-                        t as u64
-                    }
-                };
-                stack.push(r);
+                let a = pop(stack, base)?;
+                stack.push(num::itrunc(*iw, *fw, *sx, a)?);
             }
             Op::FConvertI(fw, iw, sx) => {
                 let a = pop(stack, base)?;
-                use crate::ast::Sx;
-                let x = match (iw, sx) {
-                    (Width::W32, Sx::S) => a as u32 as i32 as f64,
-                    (Width::W32, Sx::U) => a as u32 as f64,
-                    (Width::W64, Sx::S) => a as i64 as f64,
-                    (Width::W64, Sx::U) => a as f64,
-                };
-                push_f(stack, *fw, x);
+                stack.push(num::fconvert(*fw, *iw, *sx, a));
             }
             Op::F32DemoteF64 => {
-                let a = pop_f(stack, base, Width::W64)?;
-                stack.push((a as f32).to_bits() as u64);
+                let a = pop(stack, base)?;
+                stack.push(num::demote(a));
             }
             Op::F64PromoteF32 => {
-                let a = pop_f(stack, base, Width::W32)?;
-                stack.push(a.to_bits());
-            }
-            Op::IReinterpretF(w) => {
-                // Mirror the tree-walker's f64 round trip exactly (it
-                // widens to f64 on pop and narrows on reinterpret).
-                let a = pop_f(stack, base, *w)?;
-                stack.push(match w {
-                    Width::W32 => (a as f32).to_bits() as u64,
-                    Width::W64 => a.to_bits(),
-                });
-            }
-            Op::FReinterpretI(w) => {
                 let a = pop(stack, base)?;
-                stack.push(match w {
-                    Width::W32 => a as u32 as u64,
-                    Width::W64 => a,
-                });
+                stack.push(num::promote(a));
             }
             // --- Fused superinstructions: same effects as their parts,
             // one dispatch. `ibin` is infallible here (div/rem are never
@@ -561,40 +399,17 @@ fn run(
                 }
             }
             Op::GetLoad(ty, offset, i) => {
-                let a = stack[locals + *i as usize] as u32 as usize;
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &linker.memories[ma];
-                let v = if t_size(*ty) == 4 {
-                    let Some(b) = m.get(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64
-                } else {
-                    let Some(b) = m.get(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-                };
-                stack.push(v);
+                let a = stack[locals + *i as usize];
+                stack.push(num::load(memory(linker, mem)?, a, *offset, t_size(*ty))?);
             }
             Op::TestBr(w, t) => {
-                let a = pop(stack, base)?;
-                let z = match w {
-                    Width::W32 => a as u32 == 0,
-                    Width::W64 => a == 0,
-                };
-                if z {
+                if itest(*w, pop(stack, base)?) {
                     pc = take_branch(stack, base, t)?;
                 }
             }
             Op::GetTest(w, i) => {
                 let a = stack[locals + *i as usize];
-                let z = match w {
-                    Width::W32 => a as u32 == 0,
-                    Width::W64 => a == 0,
-                };
-                stack.push(z as u64);
+                stack.push(itest(*w, a) as u64);
             }
             Op::Copy(i, j) => {
                 stack[locals + *j as usize] = stack[locals + *i as usize];
@@ -635,53 +450,22 @@ fn run(
                 }
             }
             Op::GetLoadSet(ty, offset, i, j) => {
-                let a = stack[locals + *i as usize] as u32 as usize;
-                let addr = a + *offset as usize;
+                let a = stack[locals + *i as usize];
                 // The load is the middle sub-op: its traps happen with
                 // only two of the three steps charged on the
                 // tree-walker, so give one back before trapping.
-                let give_back = |l: &mut WasmLinker| l.steps -= 1;
-                let Some(ma) = mem else {
-                    give_back(linker);
-                    return trap("no memory");
-                };
-                let m = &linker.memories[ma];
-                let v = if t_size(*ty) == 4 {
-                    match m.get(addr..addr + 4) {
-                        Some(b) => u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64,
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
-                } else {
-                    match m.get(addr..addr + 8) {
-                        Some(b) => u64::from_le_bytes(b.try_into().expect("8-byte slice")),
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
+                let loaded =
+                    memory(linker, mem).and_then(|m| num::load(m, a, *offset, t_size(*ty)));
+                let Ok(v) = loaded else {
+                    linker.steps -= 1;
+                    return loaded.map(drop);
                 };
                 stack[locals + *j as usize] = v;
             }
             Op::Get2Store(ty, offset, i, j) => {
-                let a = stack[locals + *i as usize] as u32 as usize;
-                let raw = stack[locals + *j as usize];
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                let a = stack[locals + *i as usize];
+                let v = stack[locals + *j as usize];
+                num::store(memory(linker, mem)?, a, *offset, t_size(*ty), v)?;
             }
             Op::ConstOpSet(w, op, j, c) => {
                 let a = pop(stack, base)?;
@@ -693,71 +477,30 @@ fn run(
             }
             Op::Meter2 => {}
             Op::GetTestBr(w, i, t) => {
-                let a = stack[locals + *i as usize];
-                let z = match w {
-                    Width::W32 => a as u32 == 0,
-                    Width::W64 => a == 0,
-                };
-                if z {
+                if itest(*w, stack[locals + *i as usize]) {
                     pc = take_branch(stack, base, t)?;
                 }
             }
             Op::GetTestIfFalse(w, i, t) => {
-                let a = stack[locals + *i as usize];
-                let nz = match w {
-                    Width::W32 => a as u32 != 0,
-                    Width::W64 => a != 0,
-                };
-                if nz {
+                if !itest(*w, stack[locals + *i as usize]) {
                     pc = *t as usize;
                 }
             }
             Op::GetGlobalStore(ty, offset, i, g) => {
-                let a = stack[locals + *i as usize] as u32 as usize;
+                let a = stack[locals + *i as usize];
                 let gaddr = linker.instances[module].global_addrs[*g as usize];
-                let raw = slot_of(linker.globals[gaddr]);
-                let addr = a + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(b) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(b) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    b.copy_from_slice(&raw.to_le_bytes());
-                }
+                let v = slot_of(linker.globals[gaddr]);
+                num::store(memory(linker, mem)?, a, *offset, t_size(*ty), v)?;
             }
             Op::GetLoadGlobalSet(ty, gty, offset, i, g) => {
-                let a = stack[locals + *i as usize] as u32 as usize;
-                let addr = a + *offset as usize;
+                let a = stack[locals + *i as usize];
                 // Like `GetLoadSet`: the load is the middle sub-op, so
                 // its traps give one step back.
-                let give_back = |l: &mut WasmLinker| l.steps -= 1;
-                let Some(ma) = mem else {
-                    give_back(linker);
-                    return trap("no memory");
-                };
-                let m = &linker.memories[ma];
-                let v = if t_size(*ty) == 4 {
-                    match m.get(addr..addr + 4) {
-                        Some(b) => u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64,
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
-                } else {
-                    match m.get(addr..addr + 8) {
-                        Some(b) => u64::from_le_bytes(b.try_into().expect("8-byte slice")),
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
+                let loaded =
+                    memory(linker, mem).and_then(|m| num::load(m, a, *offset, t_size(*ty)));
+                let Ok(v) = loaded else {
+                    linker.steps -= 1;
+                    return loaded.map(drop);
                 };
                 let gaddr = linker.instances[module].global_addrs[*g as usize];
                 linker.globals[gaddr] = val_of(*gty, v);
@@ -766,23 +509,9 @@ fn run(
                 if stack.len() <= base {
                     return trap("value stack underflow");
                 }
-                let v = stack[stack.len() - 1];
-                stack[locals + *i as usize] = v;
-                let addr = v as u32 as usize + *offset as usize;
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &linker.memories[ma];
-                let loaded = if t_size(*ty) == 4 {
-                    let Some(b) = m.get(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64
-                } else {
-                    let Some(b) = m.get(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    u64::from_le_bytes(b.try_into().expect("8-byte slice"))
-                };
-                stack.push(loaded);
+                let a = stack[stack.len() - 1];
+                stack[locals + *i as usize] = a;
+                stack.push(num::load(memory(linker, mem)?, a, *offset, t_size(*ty))?);
             }
             Op::GetConstOpGetOp(d) => {
                 let a = stack[locals + d.i as usize];
@@ -797,12 +526,7 @@ fn run(
                 call_addr(linker, stack, base, addr, depth)?;
             }
             Op::MeterGetTestBr(w, i, t) => {
-                let a = stack[locals + *i as usize];
-                let z = match w {
-                    Width::W32 => a as u32 == 0,
-                    Width::W64 => a == 0,
-                };
-                if z {
+                if itest(*w, stack[locals + *i as usize]) {
                     pc = take_branch(stack, base, t)?;
                 }
             }
@@ -829,33 +553,15 @@ fn run(
                 return Ok(());
             }
             Op::GetLoadRelIfFalse(d) => {
-                let a = stack[locals + d.i as usize] as u32 as usize;
-                let addr = a + d.offset as usize;
+                let a = stack[locals + d.i as usize];
                 // The load is sub-op 2 of 5: its traps happen with only
                 // two steps charged on the tree-walker, so give three
                 // back before trapping.
-                let give_back = |l: &mut WasmLinker| l.steps -= 3;
-                let Some(ma) = mem else {
-                    give_back(linker);
-                    return trap("no memory");
-                };
-                let m = &linker.memories[ma];
-                let v = if t_size(d.ty) == 4 {
-                    match m.get(addr..addr + 4) {
-                        Some(b) => u32::from_le_bytes(b.try_into().expect("4-byte slice")) as u64,
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
-                } else {
-                    match m.get(addr..addr + 8) {
-                        Some(b) => u64::from_le_bytes(b.try_into().expect("8-byte slice")),
-                        None => {
-                            give_back(linker);
-                            return trap("out of bounds memory access");
-                        }
-                    }
+                let loaded =
+                    memory(linker, mem).and_then(|m| num::load(m, a, d.offset, t_size(d.ty)));
+                let Ok(v) = loaded else {
+                    linker.steps -= 3;
+                    return loaded.map(drop);
                 };
                 let b = stack[locals + d.j as usize];
                 if !irel(d.w, d.op, v, b) {
@@ -869,22 +575,108 @@ fn run(
             Op::SetGet2Store(ty, offset, b, j) => {
                 let a = pop(stack, base)?;
                 stack[locals + *b as usize] = a;
-                let addr = a as u32 as usize + *offset as usize;
-                let raw = stack[locals + *j as usize];
-                let ma = mem.ok_or_else(|| WasmTrap("no memory".into()))?;
-                let m = &mut linker.memories[ma];
-                if t_size(*ty) == 4 {
-                    let Some(bs) = m.get_mut(addr..addr + 4) else {
-                        return trap("out of bounds memory access");
-                    };
-                    bs.copy_from_slice(&(raw as u32).to_le_bytes());
-                } else {
-                    let Some(bs) = m.get_mut(addr..addr + 8) else {
-                        return trap("out of bounds memory access");
-                    };
-                    bs.copy_from_slice(&raw.to_le_bytes());
-                }
+                let v = stack[locals + *j as usize];
+                num::store(memory(linker, mem)?, a, *offset, t_size(*ty), v)?;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ast::*;
+    use crate::compile::compile_module;
+    use crate::exec::{Val, WasmLinker};
+
+    /// One module through compile → attach → invoke: a loop that stores
+    /// and reloads memory (fused ops), a float tail, and an
+    /// out-of-bounds load, each agreeing with the tree-walker on the
+    /// outcome and the step count.
+    #[test]
+    fn a_compiled_module_runs_like_the_tree_walker() {
+        use WInstr::*;
+        let empty = || BlockType::Empty;
+        let four_i = || vec![LocalGet(1), I32Const(4), IBin(Width::W32, IBinOp::Mul)];
+        let mut body = vec![];
+        body.extend([
+            LocalGet(1),
+            LocalGet(0),
+            IRel(Width::W32, IRelOp::Ge(Sx::U)),
+            BrIf(1),
+        ]);
+        body.extend(four_i());
+        body.extend([LocalGet(1), Store(ValType::I32, 0), LocalGet(2)]);
+        body.extend(four_i());
+        body.extend([
+            Load(ValType::I32, 0),
+            IBin(Width::W32, IBinOp::Add),
+            LocalSet(2),
+        ]);
+        body.extend([
+            LocalGet(1),
+            I32Const(1),
+            IBin(Width::W32, IBinOp::Add),
+            LocalSet(1),
+        ]);
+        body.push(Br(0));
+        let sum = vec![
+            Block(empty(), vec![Loop(empty(), body)]),
+            LocalGet(2),
+            FConvertI(Width::W32, Width::W32, Sx::U),
+            F32Const(0.5),
+            FBin(Width::W32, FBinOp::Add),
+            FUn(Width::W32, FUnOp::Nearest),
+            ITruncF(Width::W32, Width::W32, Sx::U),
+        ];
+        let mut m = Module {
+            memory: Some(1),
+            ..Module::default()
+        };
+        let sum_ty = m.intern_type(FuncType {
+            params: vec![ValType::I32],
+            results: vec![ValType::I32],
+        });
+        let oob_ty = m.intern_type(FuncType {
+            params: vec![],
+            results: vec![ValType::I64],
+        });
+        m.funcs.push(FuncDef {
+            type_idx: sum_ty,
+            locals: vec![ValType::I32, ValType::I32],
+            body: sum,
+        });
+        m.funcs.push(FuncDef {
+            type_idx: oob_ty,
+            locals: vec![],
+            body: vec![I32Const(65536 - 7), Load(ValType::I64, 0)],
+        });
+        for (i, name) in ["sum", "oob"].into_iter().enumerate() {
+            m.exports.push(Export {
+                name: name.into(),
+                kind: ExportKind::Func(i as u32),
+            });
+        }
+
+        let mut tree = WasmLinker::new();
+        let ti = tree.instantiate("m", m.clone()).unwrap();
+        let mut vm = WasmLinker::new();
+        let vi = vm.instantiate("m", m.clone()).unwrap();
+        assert_eq!(vm.attach_compiled(vi, &compile_module(&m)), Ok(2));
+        for (name, args, want) in [
+            // 0 + 1 + … + 9 = 45; nearest(45.5) = 46 (ties to even).
+            ("sum", vec![Val::I32(10)], Ok(vec![Val::I32(46)])),
+            ("sum", vec![Val::I32(0)], Ok(vec![Val::I32(0)])),
+            (
+                "oob",
+                vec![],
+                Err("wasm trap: out of bounds memory access".to_string()),
+            ),
+        ] {
+            let on_tree = tree.invoke(ti, name, &args).map_err(|e| e.to_string());
+            let on_vm = vm.invoke(vi, name, &args).map_err(|e| e.to_string());
+            assert_eq!(on_vm, want, "{name}");
+            assert_eq!(on_tree, want, "{name}");
+            assert_eq!(vm.last_steps(), tree.last_steps(), "{name}");
         }
     }
 }

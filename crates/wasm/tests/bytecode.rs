@@ -3,7 +3,7 @@
 //! two must agree on results, trap messages, **and** fuel consumption
 //! step-for-step — the property the fuzz farm's harness pins at scale.
 
-use richwasm_bench::workloads::wasm_branch_probes;
+use richwasm_bench::workloads::{wasm_branch_probes, wasm_float_probes};
 use richwasm_wasm::ast::*;
 use richwasm_wasm::compile::compile_module;
 use richwasm_wasm::exec::{Val, WasmLinker};
@@ -28,10 +28,21 @@ fn one_func(
     m
 }
 
+/// A value's bit pattern, 32-bit values zero-extended: floats compare by
+/// bits, so a NaN's payload and a zero's sign count.
+fn bits(v: &Val) -> u64 {
+    match *v {
+        Val::I32(x) => x.into(),
+        Val::I64(x) => x,
+        Val::F32(x) => x.to_bits().into(),
+        Val::F64(x) => x.to_bits(),
+    }
+}
+
 /// Instantiates `m` twice — once plain, once with the compiled module
 /// attached — invokes `name` with `args` on both, and asserts that every
-/// function compiled and that the outcomes (value or trap message) and
-/// step counts are identical. Returns the shared outcome.
+/// function compiled and that the outcomes (typed value bits or trap
+/// message) and step counts are identical. Returns the shared outcome.
 fn differential(m: &Module, name: &str, args: &[Val]) -> Result<Vec<Val>, String> {
     let compiled = compile_module(m);
     assert!(
@@ -48,7 +59,15 @@ fn differential(m: &Module, name: &str, args: &[Val]) -> Result<Vec<Val>, String
     vm.attach_compiled(vi, &compiled).expect("attach");
     let vm_out = vm.invoke(vi, name, args).map_err(|e| e.to_string());
 
-    assert_eq!(tree_out, vm_out, "engines disagree on outcome");
+    let typed_bits = |out: &Result<Vec<Val>, String>| {
+        out.clone()
+            .map(|vs| vs.iter().map(|v| (v.ty(), bits(v))).collect::<Vec<_>>())
+    };
+    assert_eq!(
+        typed_bits(&tree_out),
+        typed_bits(&vm_out),
+        "engines disagree on outcome"
+    );
     assert_eq!(
         tree.last_steps(),
         vm.last_steps(),
@@ -475,6 +494,19 @@ fn parameterised_blocks_and_function_label_branches_follow_the_spec() {
             Ok(vec![Val::I32(want as u32)]),
             "{probe}"
         );
+    }
+}
+
+/// Both tiers give the spec's bits on float operators Rust's defaults
+/// get wrong: signalling NaNs through sign operators and reinterprets,
+/// NaN and signed-zero `min`/`max`, `nearest(-0.5)`, and int→float
+/// conversions that must round once.
+#[test]
+fn float_probes_give_spec_bits_on_both_tiers() {
+    for (probe, m, want) in wasm_float_probes() {
+        let out = differential(&m, "main", &[]).unwrap_or_else(|e| panic!("{probe}: {e}"));
+        assert_eq!(out.len(), 1, "{probe}");
+        assert_eq!(bits(&out[0]), want, "{probe}: got {:#x}", bits(&out[0]));
     }
 }
 

@@ -138,6 +138,9 @@ pub enum Stage {
     Validate,
     /// Standard `.wasm` binary encoding.
     Encode,
+    /// Flat-bytecode compilation of the validated Wasm modules
+    /// ([`WasmTier::Bytecode`] only).
+    Bytecode,
     /// CFG/dataflow static analysis of the lowered modules
     /// (`richwasm-analyze`): re-verification, fuel bounds, call-graph
     /// discipline, dead-code lint.
@@ -150,8 +153,8 @@ pub enum Stage {
 
 impl Stage {
     /// True for the static (compile-time) stages an [`Artifact`] caches:
-    /// everything up to and including binary encoding, minus the dynamic
-    /// `Instantiate`/`Execute`/`Differential` stages.
+    /// every stage but the dynamic `Instantiate`/`Execute`/`Differential`
+    /// ones.
     pub fn is_static(self) -> bool {
         matches!(
             self,
@@ -161,6 +164,7 @@ impl Stage {
                 | Stage::Lower
                 | Stage::Validate
                 | Stage::Encode
+                | Stage::Bytecode
                 | Stage::Analyze
         )
     }
@@ -176,6 +180,7 @@ impl fmt::Display for Stage {
             Stage::Lower => "lower",
             Stage::Validate => "validate",
             Stage::Encode => "encode",
+            Stage::Bytecode => "bytecode",
             Stage::Analyze => "analyze",
             Stage::Execute => "execute",
             Stage::Differential => "differential",
@@ -2736,12 +2741,11 @@ impl Engine {
         }
 
         // Bytecode tier: flatten every validated function body to linear
-        // ops (timed under `Encode` — it is the other build-time code
-        // emission).
+        // ops.
         let t0 = Instant::now();
         let compiled = compile_bytecode(config, &lowered);
         if !compiled.is_empty() {
-            timings.add(Stage::Encode, t0.elapsed());
+            timings.add(Stage::Bytecode, t0.elapsed());
         }
 
         // Stage 6: CFG/dataflow static analysis of every lowered (or

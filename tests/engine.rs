@@ -1259,6 +1259,33 @@ fn bytecode_tier_matches_the_tree_tier_step_for_step() {
     );
 }
 
+/// Through `load_wasm` and on both tiers, the float probes give the
+/// spec's result bits: signalling NaNs keep their payload through sign
+/// operators and reinterprets, `min`/`max` order NaN and signed zeros
+/// as the spec does, `nearest(-0.5)` is -0, and conversions round once.
+#[test]
+fn loaded_float_probes_give_spec_bits_on_both_tiers() {
+    use richwasm_bench::workloads::wasm_float_probes;
+    use richwasm_repro::WasmTier;
+    use richwasm_wasm::exec::Val;
+
+    for tier in [WasmTier::Bytecode, WasmTier::Tree] {
+        let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).wasm_tier(tier));
+        for (probe, m, want) in wasm_float_probes() {
+            let artifact = engine.load_wasm(encode_module(&m)).unwrap();
+            let out = artifact.instantiate().unwrap().invoke_entry().unwrap();
+            let got = match out.wasm.as_deref() {
+                Some([Val::I32(x)]) => u64::from(*x),
+                Some([Val::I64(x)]) => *x,
+                Some([Val::F32(x)]) => u64::from(x.to_bits()),
+                Some([Val::F64(x)]) => x.to_bits(),
+                other => panic!("{probe} on {tier:?}: {other:?}"),
+            };
+            assert_eq!(got, want, "{probe} on {tier:?}: got {got:#x}");
+        }
+    }
+}
+
 #[test]
 fn tree_tier_still_serves_and_caches_separately() {
     use richwasm_repro::WasmTier;

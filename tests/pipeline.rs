@@ -8,13 +8,18 @@
 //! default differential mode, so backend agreement is checked on every
 //! invocation rather than hand-wired per test.
 
-use richwasm::syntax::{FunType, Func, Global, GlobalKind, Instr, Module, NumType, Pretype, Value};
+use richwasm::syntax::instr::{FloatBinop, FloatUnop};
+use richwasm::syntax::{
+    FunType, Func, Global, GlobalKind, Instr, Module, NumInstr, NumType, Pretype, Value,
+};
 use richwasm_bench::workloads;
 use richwasm_l3::{L3Expr, L3Fun, L3Module, L3Op, L3Ty};
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlModule, MlTy};
 use richwasm_repro::engine::{
-    Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind, Stage,
+    Artifact, Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind, Stage,
+    WasmTier,
 };
+use richwasm_wasm::exec::Val;
 
 #[test]
 fn ml_program_through_full_pipeline() {
@@ -254,25 +259,109 @@ fn pipeline_round_trip_binaries_validate_and_agree() {
         "all binaries carry the Wasm magic"
     );
 
-    // Per-stage timings cover the whole five-stage static path on the
-    // artifact; the instance records only dynamic stages.
+    // Per-stage timings cover the whole static path on the artifact,
+    // each stage once; bytecode is built only for the bytecode tier.
+    // The instance records only dynamic stages.
+    let tree = Engine::with_config(EngineConfig::new().wasm_tier(WasmTier::Tree))
+        .compile(
+            &ModuleSet::new()
+                .ml("ml", workloads::stash_module(false))
+                .l3("l3", workloads::stash_client())
+                .entry("l3"),
+        )
+        .expect("L3-main ordering compiles on the tree tier");
     for stage in [
         Stage::Frontend,
         Stage::Typecheck,
         Stage::Lower,
         Stage::Validate,
         Stage::Encode,
+        Stage::Bytecode,
+        Stage::Analyze,
     ] {
-        assert!(
-            l3_main.timings().entries().iter().any(|(s, _)| *s == stage),
-            "stage {stage} was timed"
-        );
+        let count = |a: &Artifact| {
+            a.timings()
+                .entries()
+                .iter()
+                .filter(|(s, _)| *s == stage)
+                .count()
+        };
+        assert_eq!(count(&l3_main), 1, "stage {stage} timed once");
+        let on_tree = usize::from(stage != Stage::Bytecode);
+        assert_eq!(count(&tree), on_tree, "stage {stage} on the tree tier");
     }
     assert!(
         inst.timings().no_static_stages(),
         "instantiation re-ran a static stage: {}",
         inst.timings()
     );
+}
+
+/// RichWasm float programs whose lowered Wasm must give the spec's bits,
+/// run under the default differential engine so the interpreter and the
+/// Wasm backend are compared bit for bit: a conversion that must round
+/// once, `abs` of a signalling NaN, `min` with a NaN, and
+/// `nearest(-0.5)`.
+#[test]
+fn float_programs_agree_bit_for_bit_in_differential_mode() {
+    let f32_main = |body: Vec<Instr>| Module {
+        funcs: vec![Func::Defined {
+            exports: vec!["main".into()],
+            ty: FunType::mono(vec![], vec![Pretype::Num(NumType::F32).unr()]),
+            locals: vec![],
+            body,
+        }],
+        ..Module::default()
+    };
+    let f32c = |bits: u32| Instr::Val(Value::Num(NumType::F32, bits.into()));
+    let probes = [
+        (
+            "f32.convert_i64_u",
+            vec![
+                Instr::Val(Value::Num(NumType::U64, (1 << 53) + (1 << 29) + 1)),
+                Instr::Num(NumInstr::Convert(NumType::F32, NumType::U64)),
+            ],
+            0x5a00_0001, // 2^53 + 2^30
+        ),
+        (
+            "f32.abs_snan",
+            vec![
+                f32c(0xffa0_0000),
+                Instr::Num(NumInstr::FloatUnop(NumType::F32, FloatUnop::Abs)),
+            ],
+            0x7fa0_0000,
+        ),
+        (
+            "f32.min_nan",
+            vec![
+                f32c(0x7fc0_0000),
+                f32c(1f32.to_bits()),
+                Instr::Num(NumInstr::FloatBinop(NumType::F32, FloatBinop::Min)),
+            ],
+            0x7fc0_0000,
+        ),
+        (
+            "f32.nearest_neg_half",
+            vec![
+                f32c((-0.5f32).to_bits()),
+                Instr::Num(NumInstr::FloatUnop(NumType::F32, FloatUnop::Nearest)),
+            ],
+            0x8000_0000,
+        ),
+    ];
+    for (probe, body, want) in probes {
+        let out = Engine::new()
+            .instantiate(&ModuleSet::new().richwasm("m", f32_main(body)))
+            .unwrap()
+            .invoke_entry()
+            .unwrap_or_else(|e| panic!("{probe}: {e}"));
+        let richwasm = &out.richwasm.as_ref().expect("interpreter ran").values;
+        assert_eq!(richwasm, &[Value::Num(NumType::F32, want)], "{probe}");
+        match out.wasm.as_deref() {
+            Some([Val::F32(x)]) => assert_eq!(u64::from(x.to_bits()), want, "{probe}"),
+            other => panic!("{probe}: Wasm returned {other:?}"),
+        }
+    }
 }
 
 #[test]
