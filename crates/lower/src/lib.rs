@@ -15,7 +15,9 @@
 //!   memory, and the shared function table).
 //! * `variant.case` compiles to a dispatch over the tag; `coderef`
 //!   compiles to an `i32` index into the shared table; indirect calls
-//!   emit one case per possible callee shape (paper §6).
+//!   emit one case per possible callee shape (paper §6), not one per
+//!   table entry, so a call site's code does not grow with the table
+//!   (DESIGN.md §14).
 //! * Type-level instructions (`qualify`, `mem.pack`, `rec.fold`,
 //!   `cap.split`, …) are erased.
 //!

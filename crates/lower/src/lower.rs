@@ -5,6 +5,7 @@
 //! globally. Each RichWasm module becomes one Wasm module importing the
 //! generated runtime's memory, table, `malloc` and `free`.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use richwasm::env::{KindCtx, ModuleEnv, TypeBound};
@@ -26,16 +27,10 @@ use crate::runtime::runtime_module;
 /// instantiated.
 pub const RUNTIME_NAME: &str = "rw_runtime";
 
-/// One entry of the session-global shared function table.
-#[derive(Debug, Clone)]
-struct TableEntry {
-    global_idx: u32,
-    funtype: rw::FunType,
-}
-
 /// The whole-program part of lowering, computed once per module set: the
 /// shared function table's layout (every module's entries concatenated in
-/// instantiation order) and each module's base offset into it.
+/// instantiation order), each module's base offset into it, and the
+/// table's entries grouped by callee type.
 ///
 /// Splitting the plan out of [`lower_modules_with_plan`] makes the
 /// whole-program analysis a reusable artifact: a compile-once/run-many
@@ -43,36 +38,45 @@ struct TableEntry {
 /// both for the lifetime of the compiled program.
 #[derive(Debug, Clone, Default)]
 pub struct LinkPlan {
-    table_entries: Vec<TableEntry>,
+    callee_types: Vec<CalleeType>,
+    table_len: u32,
     table_bases: Vec<u32>,
 }
+
+/// One distinct callee type of the shared table and the global indices
+/// of its entries, in table order.
+type CalleeType = (rw::FunType, Vec<u32>);
 
 impl LinkPlan {
     /// Computes the shared table layout for `modules` (in instantiation
     /// order — the same order they must later be lowered in).
     pub fn compute(modules: &[(String, rw::Module)]) -> LinkPlan {
-        let mut table_entries: Vec<TableEntry> = Vec::new();
+        let mut callee_types: Vec<CalleeType> = Vec::new();
+        let mut by_type: HashMap<&rw::FunType, usize> = HashMap::new();
         let mut table_bases = Vec::new();
         let mut total = 0u32;
         for (_, m) in modules {
             table_bases.push(total);
             for &fi in &m.table.entries {
-                table_entries.push(TableEntry {
-                    global_idx: total,
-                    funtype: m.funcs[fi as usize].ty().clone(),
+                let ty = m.funcs[fi as usize].ty();
+                let group = *by_type.entry(ty).or_insert_with(|| {
+                    callee_types.push((ty.clone(), Vec::new()));
+                    callee_types.len() - 1
                 });
+                callee_types[group].1.push(total);
                 total += 1;
             }
         }
         LinkPlan {
-            table_entries,
+            callee_types,
+            table_len: total,
             table_bases,
         }
     }
 
     /// Total number of shared-table slots across all modules.
     pub fn table_len(&self) -> u32 {
-        self.table_entries.len() as u32
+        self.table_len
     }
 
     /// Number of modules the plan was computed over.
@@ -170,7 +174,7 @@ pub fn lower_modules_timed(
             m,
             &envs[mi],
             plan.table_bases[mi],
-            &plan.table_entries,
+            &plan.callee_types,
             &mut check,
         )?;
         out.push((name.clone(), lowered));
@@ -182,7 +186,7 @@ fn lower_module(
     m: &rw::Module,
     env: &ModuleEnv,
     table_base: u32,
-    table_entries: &[TableEntry],
+    callee_types: &[CalleeType],
     // Checks one body against its type and returns the trace to lower it
     // from.
     check: &mut impl FnMut(
@@ -341,7 +345,7 @@ fn lower_module(
                 &mut wm,
                 Shared {
                     table_base,
-                    table_entries,
+                    callee_types,
                     rw2wasm: &rw2wasm,
                     globals: &global_map,
                     malloc_idx,
@@ -368,7 +372,7 @@ fn lower_module(
                 &mut wm,
                 Shared {
                     table_base,
-                    table_entries,
+                    callee_types,
                     rw2wasm: &rw2wasm,
                     globals: &global_map,
                     malloc_idx,
@@ -448,11 +452,21 @@ fn value_consts(v: &rw::Value) -> Vec<WInstr> {
 #[derive(Clone, Copy)]
 struct Shared<'a> {
     table_base: u32,
-    table_entries: &'a [TableEntry],
+    callee_types: &'a [CalleeType],
     rw2wasm: &'a [u32],
     globals: &'a [(u32, Vec<ValType>)],
     malloc_idx: u32,
     free_idx: u32,
+}
+
+/// One callee shape of an indirect call site: the callee's Wasm
+/// signature, the coercions to and from it, and the global table indices
+/// of the entries that share it.
+struct Shape {
+    arg_plan: Vec<Seg>,
+    res_plan: Vec<Seg>,
+    sig_idx: u32,
+    entries: Vec<u32>,
 }
 
 struct FnCx<'a> {
@@ -1395,6 +1409,14 @@ impl<'a> FnCx<'a> {
         Ok(())
     }
 
+    /// Lowers `call_indirect` with one case per possible callee shape
+    /// (paper §6). A shape is a Wasm signature plus the coercions between
+    /// the site's concrete layout and the callee's; table entries are
+    /// grouped into shapes through [`LinkPlan`]'s callee types, so a site
+    /// plans each distinct type once. The largest shape is the default
+    /// and needs no index test. Entries whose type fails the site's arity
+    /// or coercion plan get no case: coderef typing never lets their index
+    /// reach this site (DESIGN.md §14).
     fn lower_call_indirect(
         &mut self,
         entry: &InstrInfo,
@@ -1408,6 +1430,31 @@ impl<'a> FnCx<'a> {
         };
         let args = &entry.consumed[..entry.consumed.len() - 1];
         let conc_results = &entry.produced;
+
+        let mut shapes: Vec<Shape> = Vec::new();
+        for (ty, entries) in self.sh.callee_types {
+            if ty.arrow.params.len() != mono.arrow.params.len()
+                || ty.arrow.results.len() != mono.arrow.results.len()
+            {
+                continue;
+            }
+            let Some((arg_plan, res_plan)) = self.callee_plans(ty, args, conc_results) else {
+                continue;
+            };
+            let sig_idx = self.wm.intern_type(lower_signature(ty)?);
+            match shapes
+                .iter_mut()
+                .find(|s| s.sig_idx == sig_idx && s.arg_plan == arg_plan && s.res_plan == res_plan)
+            {
+                Some(s) => s.entries.extend_from_slice(entries),
+                None => shapes.push(Shape {
+                    arg_plan,
+                    res_plan,
+                    sig_idx,
+                    entries: entries.clone(),
+                }),
+            }
+        }
 
         // The table index is on top of the stack.
         let ix = self.alloc_pool(1);
@@ -1423,78 +1470,90 @@ impl<'a> FnCx<'a> {
         let pool = self.alloc_pool(layout_slots(&conc_layout));
         self.emit_spill(&conc_layout, pool, out);
 
-        // Result block type: the concrete result layout.
-        let mut res_layout = Vec::new();
-        for r in conc_results {
-            res_layout.extend(flatten(&self.ctx, r)?);
-        }
-        let bt = self.wm.intern_type(FuncType {
-            params: vec![],
-            results: res_layout,
-        });
-
-        // One case per possible callee shape (paper §6).
-        let mut cases = Vec::new();
-        for te in self.sh.table_entries {
-            if te.funtype.arrow.params.len() != mono.arrow.params.len()
-                || te.funtype.arrow.results.len() != mono.arrow.results.len()
-            {
-                continue;
+        // The default is the largest shape; `max_by_key` keeps the last
+        // maximum, so scanning backwards breaks ties towards table order.
+        let Some(default) = (0..shapes.len())
+            .rev()
+            .max_by_key(|&i| shapes[i].entries.len())
+        else {
+            out.push(WInstr::Unreachable);
+            self.release_pool(ix);
+            return Ok(());
+        };
+        let mut chain = self.shape_arm(&shapes[default], ix, pool);
+        if shapes.len() > 1 {
+            // Result block type: the concrete result layout.
+            let mut res_layout = Vec::new();
+            for r in conc_results {
+                res_layout.extend(flatten(&self.ctx, r)?);
             }
-            let mut cctx = KindCtx::new();
-            let _t = push_telescope(&mut cctx, &te.funtype.quants);
-            let mut arg_plan = Vec::new();
-            let mut ok = true;
-            for (abs, conc) in te.funtype.arrow.params.iter().zip(args) {
-                match plan(&cctx, abs, &self.ctx, conc) {
-                    Ok(p) => arg_plan.extend(p),
-                    Err(_) => {
-                        ok = false;
-                        break;
+            let bt = self.wm.intern_type(FuncType {
+                params: vec![],
+                results: res_layout,
+            });
+            // Build the if-chain around the default, innermost first.
+            for (i, shape) in shapes.iter().enumerate().rev() {
+                if i == default {
+                    continue;
+                }
+                let arm = self.shape_arm(shape, ix, pool);
+                let mut test = Vec::new();
+                for (k, &gidx) in shape.entries.iter().enumerate() {
+                    test.push(WInstr::LocalGet(ix));
+                    test.push(WInstr::I32Const(gidx as i32));
+                    test.push(WInstr::IRel(Width::W32, w::IRelOp::Eq));
+                    if k > 0 {
+                        test.push(WInstr::IBin(Width::W32, w::IBinOp::Or));
                     }
                 }
+                test.push(WInstr::If(
+                    BlockType::Func(bt),
+                    arm,
+                    std::mem::take(&mut chain),
+                ));
+                chain = test;
             }
-            let mut res_plan = Vec::new();
-            if ok {
-                for (abs, conc) in te.funtype.arrow.results.iter().zip(conc_results.iter()) {
-                    match plan(&cctx, abs, &self.ctx, conc) {
-                        Ok(p) => res_plan.extend(p),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let sig = lower_signature(&te.funtype)?;
-            let sig_idx = self.wm.intern_type(sig);
-            cases.push((te.global_idx, arg_plan, res_plan, sig_idx));
-        }
-
-        // Build the nested if-chain, innermost first.
-        let mut chain: Vec<WInstr> = vec![WInstr::Unreachable];
-        for (gidx, arg_plan, res_plan, sig_idx) in cases.into_iter().rev() {
-            let mut arm = Vec::new();
-            self.emit_coerce_push(&arg_plan, pool, &mut arm);
-            arm.push(WInstr::LocalGet(ix));
-            arm.push(WInstr::CallIndirect(sig_idx));
-            if !plan_is_identity(&res_plan) {
-                self.emit_coerce_pop(&res_plan, &mut arm);
-            }
-            let prev = std::mem::take(&mut chain);
-            chain = vec![
-                WInstr::LocalGet(ix),
-                WInstr::I32Const(gidx as i32),
-                WInstr::IRel(Width::W32, w::IRelOp::Eq),
-                WInstr::If(BlockType::Func(bt), arm, prev),
-            ];
         }
         out.extend(chain);
         self.release_pool(ix);
         Ok(())
+    }
+
+    /// The argument and result coercions between this site's concrete
+    /// types and callee type `ty`, or `None` when they cannot meet.
+    fn callee_plans(
+        &self,
+        ty: &rw::FunType,
+        args: &[rw::Type],
+        results: &[rw::Type],
+    ) -> Option<(Vec<Seg>, Vec<Seg>)> {
+        let mut cctx = KindCtx::new();
+        let _t = push_telescope(&mut cctx, &ty.quants);
+        let segs = |abs: &[rw::Type], conc: &[rw::Type]| {
+            let mut out = Vec::new();
+            for (a, c) in abs.iter().zip(conc) {
+                out.extend(plan(&cctx, a, &self.ctx, c).ok()?);
+            }
+            Some(out)
+        };
+        Some((
+            segs(&ty.arrow.params, args)?,
+            segs(&ty.arrow.results, results)?,
+        ))
+    }
+
+    /// One `call_indirect` case: re-push the spilled arguments in the
+    /// shape's layout, call through the table index in local `ix`, and
+    /// coerce the results back.
+    fn shape_arm(&mut self, shape: &Shape, ix: u32, pool: u32) -> Vec<WInstr> {
+        let mut arm = Vec::new();
+        self.emit_coerce_push(&shape.arg_plan, pool, &mut arm);
+        arm.push(WInstr::LocalGet(ix));
+        arm.push(WInstr::CallIndirect(shape.sig_idx));
+        if !plan_is_identity(&shape.res_plan) {
+            self.emit_coerce_pop(&shape.res_plan, &mut arm);
+        }
+        arm
     }
 
     fn lower_exist_unpack(

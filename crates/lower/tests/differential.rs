@@ -8,6 +8,8 @@ use richwasm::syntax::instr::Block;
 use richwasm::syntax::*;
 use richwasm::typecheck::check_module;
 use richwasm_lower::{lower_modules, LowerError};
+use richwasm_wasm::ast::{ExportKind, IRelOp, ImportKind, WInstr};
+use richwasm_wasm::compile::compile_module;
 use richwasm_wasm::exec::{Val, WasmLinker};
 use richwasm_wasm::validate_module;
 
@@ -15,8 +17,9 @@ fn i32t() -> Type {
     Type::num(NumType::I32)
 }
 
-/// Runs `main` (no args → one i32) through both pipelines.
-fn both_ways(m: Module) -> (i32, i32) {
+/// Runs `main` (no args → one i32) on the RichWasm interpreter and on
+/// both Wasm tiers: the tree-walker and the bytecode VM.
+fn all_ways(m: Module) -> (i32, i32, i32) {
     // RichWasm interpreter.
     let mut rt = Runtime::new();
     let idx = rt.instantiate("m", m.clone()).expect("richwasm typecheck");
@@ -26,29 +29,38 @@ fn both_ways(m: Module) -> (i32, i32) {
     };
     let rw_result = bits as u32 as i32;
 
-    // Lowered pipeline.
+    // Lowered pipeline, once per Wasm tier.
     let lowered = lower_modules(&[("m".to_string(), m)]).expect("lowering");
-    let mut linker = WasmLinker::new();
-    let mut main_inst = 0;
-    for (name, wm) in &lowered {
-        validate_module(wm).expect("lowered module validates");
-        let i = linker
-            .instantiate(name, wm.clone())
-            .expect("wasm instantiation");
-        if name == "m" {
-            main_inst = i;
+    let run = |bytecode: bool| {
+        let mut linker = WasmLinker::new();
+        let mut main_inst = 0;
+        for (name, wm) in &lowered {
+            validate_module(wm).expect("lowered module validates");
+            let i = linker
+                .instantiate(name, wm.clone())
+                .expect("wasm instantiation");
+            if bytecode {
+                linker
+                    .attach_compiled(i, &compile_module(wm))
+                    .expect("attach");
+            }
+            if name == "m" {
+                main_inst = i;
+            }
         }
-    }
-    let wasm_out = linker.invoke(main_inst, "main", &[]).expect("wasm run");
-    let Val::I32(w) = wasm_out[0] else {
-        panic!("non-i32 wasm result")
+        let wasm_out = linker.invoke(main_inst, "main", &[]).expect("wasm run");
+        let Val::I32(w) = wasm_out[0] else {
+            panic!("non-i32 wasm result")
+        };
+        w as i32
     };
-    (rw_result, w as i32)
+    (rw_result, run(false), run(true))
 }
 
 fn assert_agree(m: Module) -> i32 {
-    let (a, b) = both_ways(m);
-    assert_eq!(a, b, "RichWasm interpreter and lowered Wasm disagree");
+    let (a, tree, vm) = all_ways(m);
+    assert_eq!(a, tree, "RichWasm interpreter and lowered Wasm disagree");
+    assert_eq!(tree, vm, "the Wasm tree-walker and bytecode VM disagree");
     a
 }
 
@@ -416,6 +428,167 @@ fn coderef_inst_call_indirect() {
         ..Module::default()
     };
     assert_eq!(assert_agree(m), 42);
+}
+
+/// The lowered body of `m`'s export `name`.
+fn lowered_body(m: &Module, name: &str) -> Vec<WInstr> {
+    let lowered = lower_modules(&[("m".to_string(), m.clone())]).expect("lowering");
+    let wm = &lowered[1].1;
+    let imported = wm
+        .imports
+        .iter()
+        .filter(|im| matches!(im.kind, ImportKind::Func(_)))
+        .count();
+    let fi = wm
+        .exports
+        .iter()
+        .find_map(|e| match e.kind {
+            ExportKind::Func(fi) if e.name == name => Some(fi as usize),
+            _ => None,
+        })
+        .expect("export");
+    wm.funcs[fi - imported].body.clone()
+}
+
+/// Every instruction of `body`, nested ones included, in order.
+fn flat(body: &[WInstr]) -> Vec<WInstr> {
+    let mut out = Vec::new();
+    for i in body {
+        out.push(i.clone());
+        match i {
+            WInstr::Block(_, b) | WInstr::Loop(_, b) => out.extend(flat(b)),
+            WInstr::If(_, t, e) => {
+                out.extend(flat(t));
+                out.extend(flat(e));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+fn mono_fn(params: Vec<Type>, body: Vec<Instr>) -> Func {
+    Func::Defined {
+        exports: vec![],
+        ty: FunType::mono(params, vec![i32t()]),
+        locals: vec![],
+        body,
+    }
+}
+
+/// A module with one indirect call site, in the exported
+/// `apply : [i32, coderef ([i32] → [i32])] → [i32]`. Its table holds
+/// `x·2`, a two-argument entry that cannot reach the site, `third`, and
+/// `x·3`, at slots 0–3. `main` returns `apply(21, slot 0)` +
+/// `apply(5, slot 2 inst third_inst)` + `apply(3, slot 3)`.
+fn one_site(third: Func, third_inst: Vec<Index>) -> Module {
+    let scale = |k| {
+        mono_fn(
+            vec![i32t()],
+            vec![Instr::GetLocal(0, Qual::Unr), Instr::i32(k), mul()],
+        )
+    };
+    let f = Pretype::CodeRef(FunType::mono(vec![i32t()], vec![i32t()])).unr();
+    let apply = Func::Defined {
+        exports: vec!["apply".into()],
+        ty: FunType::mono(vec![i32t(), f], vec![i32t()]),
+        locals: vec![],
+        body: vec![
+            Instr::GetLocal(0, Qual::Unr),
+            Instr::GetLocal(1, Qual::Unr),
+            Instr::CallIndirect,
+        ],
+    };
+    let call = |x, slot, inst| {
+        vec![
+            Instr::i32(x),
+            Instr::CodeRefI(slot),
+            Instr::Inst(inst),
+            Instr::Call(4, vec![]),
+        ]
+    };
+    let mut main = call(21, 0, vec![]);
+    main.extend(call(5, 2, third_inst));
+    main.push(add());
+    main.extend(call(3, 3, vec![]));
+    main.push(add());
+    Module {
+        funcs: vec![
+            scale(2),
+            scale(3),
+            third,
+            mono_fn(
+                vec![i32t(), i32t()],
+                vec![
+                    Instr::GetLocal(0, Qual::Unr),
+                    Instr::GetLocal(1, Qual::Unr),
+                    add(),
+                ],
+            ),
+            apply,
+            Func::Defined {
+                exports: vec!["main".into()],
+                ty: FunType::mono(vec![], vec![i32t()]),
+                locals: vec![],
+                body: main,
+            },
+        ],
+        table: Table {
+            exports: vec![],
+            entries: vec![0, 3, 2, 1],
+        },
+        ..Module::default()
+    }
+}
+
+#[test]
+fn one_callee_shape_lowers_to_one_call_indirect() {
+    // Three `i32 → i32` entries share a shape.
+    let m = one_site(
+        mono_fn(vec![i32t()], vec![Instr::GetLocal(0, Qual::Unr)]),
+        vec![],
+    );
+    let site = flat(&lowered_body(&m, "apply"));
+    let count = |p: fn(&WInstr) -> bool| site.iter().filter(|i| p(i)).count();
+    assert_eq!(count(|i| matches!(i, WInstr::CallIndirect(_))), 1);
+    assert_eq!(count(|i| matches!(i, WInstr::If(..))), 0);
+    assert_eq!(count(|i| matches!(i, WInstr::Unreachable)), 0);
+    assert_eq!(assert_agree(m), 42 + 5 + 9);
+}
+
+#[test]
+fn a_site_tests_only_the_minority_shape() {
+    // Slot 2 holds `∀α. [α] → [i32]`, reached at α = i32, so its argument
+    // is padded to α's two slots: a second shape, smaller than the
+    // monomorphic one.
+    let poly = Func::Defined {
+        exports: vec![],
+        ty: FunType {
+            quants: vec![Quantifier::Type {
+                lower_qual: Qual::Unr,
+                size: Size::Const(64),
+                may_contain_caps: false,
+            }],
+            arrow: ArrowType::new(vec![Pretype::Var(0).unr()], vec![i32t()]),
+        },
+        locals: vec![],
+        body: vec![Instr::i32(100)],
+    };
+    let m = one_site(poly, vec![Index::Pretype(Pretype::Num(NumType::I32))]);
+    let site = flat(&lowered_body(&m, "apply"));
+    let tested: Vec<i32> = site
+        .windows(2)
+        .filter_map(|w| match w {
+            [WInstr::I32Const(c), WInstr::IRel(_, IRelOp::Eq)] => Some(*c),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tested, vec![2], "only the polymorphic entry is tested");
+    let count = |p: fn(&WInstr) -> bool| site.iter().filter(|i| p(i)).count();
+    assert_eq!(count(|i| matches!(i, WInstr::CallIndirect(_))), 2);
+    assert_eq!(count(|i| matches!(i, WInstr::If(..))), 1);
+    assert_eq!(count(|i| matches!(i, WInstr::Unreachable)), 0);
+    assert_eq!(assert_agree(m), 42 + 100 + 9);
 }
 
 #[test]

@@ -16,8 +16,8 @@ use richwasm_bench::workloads;
 use richwasm_l3::{L3Expr, L3Fun, L3Module, L3Op, L3Ty};
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlModule, MlTy};
 use richwasm_repro::engine::{
-    Artifact, Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind, Stage,
-    WasmTier,
+    Analysis, Artifact, Engine, EngineConfig, Exec, ModuleSet, PipelineError, PipelineErrorKind,
+    Stage, WasmTier,
 };
 use richwasm_wasm::exec::Val;
 
@@ -643,4 +643,29 @@ fn static_errors_are_identical_in_every_exec_mode() {
             }
         }
     }
+}
+
+#[test]
+fn ml_tower_code_grows_linearly() {
+    // `ml_tower(d + 1)` has twice `ml_tower(d)`'s source, and every one of
+    // its closures sits in the shared table behind an indirect call. One
+    // case per callee shape keeps each call site's code independent of the
+    // table's size, so the encoded Wasm roughly doubles too; one case per
+    // table entry made it grow about 3.85× per level.
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm).analysis(Analysis::Off));
+    let bytes = |depth: u32| -> usize {
+        engine
+            .compile(&ModuleSet::new().ml("tower", workloads::ml_tower(depth)))
+            .expect("the tower compiles")
+            .wasm_binaries()
+            .iter()
+            .map(|(_, b)| b.len())
+            .sum()
+    };
+    let (six, seven) = (bytes(6), bytes(7));
+    let ratio = seven as f64 / six as f64;
+    assert!(
+        ratio <= 2.2,
+        "ml_tower(7) encodes to {seven} bytes, {ratio:.2}× ml_tower(6)'s {six}"
+    );
 }
