@@ -21,13 +21,20 @@
 //! The acceptance gate requires the bytecode tier to clear **≥ 5×**
 //! invoke throughput over the tree-walker on the loop-churn workload
 //! (where execution, not export lookup, dominates); the counter-churn
-//! speedup is printed alongside as the end-to-end figure.
+//! speedup is printed alongside as the end-to-end figure. The gated
+//! ratio compares each tier's fastest of 101 interleaved loop-churn runs:
+//! load from other processes on a shared machine slows whichever runs
+//! it lands on, so two medians taken one after the other can each see a
+//! different machine, while interleaving gives both tiers the same
+//! machine and the minimum is the run it disturbed least.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm_bench::median_of;
 use richwasm_bench::workloads::{churn, counter_client, counter_library};
 use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, WasmTier};
 use richwasm_wasm::exec::{Val, WasmLinker};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn counter_set() -> ModuleSet {
     ModuleSet::new()
@@ -52,6 +59,33 @@ fn linker_for(set: &ModuleSet, tier: WasmTier, module: &str) -> (WasmLinker, usi
 const BUMPS: usize = 64;
 const CHURN_ITERS: u32 = 2_000;
 
+/// Times `a` and `b` in `rounds` interleaved rounds, alternating which
+/// of the two runs first, and returns the fastest run of each.
+fn interleaved_minima(
+    rounds: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Duration, Duration) {
+    fn time(f: &mut impl FnMut()) -> Duration {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed()
+    }
+    let (mut min_a, mut min_b) = (Duration::MAX, Duration::MAX);
+    for round in 0..rounds {
+        let (ta, tb) = if round % 2 == 0 {
+            let ta = time(&mut a);
+            (ta, time(&mut b))
+        } else {
+            let tb = time(&mut b);
+            (time(&mut a), tb)
+        };
+        min_a = min_a.min(ta);
+        min_b = min_b.min(tb);
+    }
+    (min_a, min_b)
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e11_bytecode");
     g.sample_size(20);
@@ -74,8 +108,9 @@ fn bench(c: &mut Criterion) {
 
     g.finish();
 
-    // The acceptance numbers, measured directly (median-of-9, outside
-    // the sampled series, so the printed figures are the gated ones).
+    // The printed and gated numbers, measured directly, outside the
+    // sampled series: the counter churn as a median of 9, the loop churn
+    // as interleaved per-tier minima.
     let (mut bc, bc_app) = linker_for(&counter_set(), WasmTier::Bytecode, "app");
     bc.invoke(bc_app, "setup", &[Val::I32(1)]).unwrap();
     let (mut tw, tw_app) = linker_for(&counter_set(), WasmTier::Tree, "app");
@@ -93,8 +128,15 @@ fn bench(c: &mut Criterion) {
 
     let (mut bc, bc_m) = linker_for(&churn_set(CHURN_ITERS), WasmTier::Bytecode, "m");
     let (mut tw, tw_m) = linker_for(&churn_set(CHURN_ITERS), WasmTier::Tree, "m");
-    let loop_bc = median_of(9, || bc.invoke(bc_m, "main", &[]).unwrap());
-    let loop_tw = median_of(9, || tw.invoke(tw_m, "main", &[]).unwrap());
+    let (loop_bc, loop_tw) = interleaved_minima(
+        101,
+        || {
+            black_box(bc.invoke(bc_m, "main", &[]).unwrap());
+        },
+        || {
+            black_box(tw.invoke(tw_m, "main", &[]).unwrap());
+        },
+    );
 
     let counter_speedup = counter_tw.as_nanos() as f64 / counter_bc.as_nanos().max(1) as f64;
     let loop_speedup = loop_tw.as_nanos() as f64 / loop_bc.as_nanos().max(1) as f64;

@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
 
     g.bench_function("bump_richwasm_interp", |b| {
-        let engine = Engine::with_config(EngineConfig::new().interp_only());
+        let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
         let mut inst = engine.instantiate(&counter_set()).unwrap();
         let mut rt = inst.richwasm.take().unwrap();
         let app_i = rt.instance_by_name("app").unwrap();

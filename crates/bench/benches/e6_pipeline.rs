@@ -69,7 +69,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("e1_interp_only_end_to_end", |b| {
         b.iter(|| {
-            let engine = Engine::with_config(EngineConfig::new().interp_only());
+            let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
             let artifact = engine.compile(&stash_set()).unwrap();
             let mut inst = artifact.instantiate().unwrap();
             assert_eq!(inst.invoke_entry().unwrap().i32(), Some(42));

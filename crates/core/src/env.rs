@@ -84,16 +84,6 @@ impl KindCtx {
         self.sizes.len() as u32
     }
 
-    /// Number of pretype variables in scope.
-    pub fn num_types(&self) -> u32 {
-        self.types.len() as u32
-    }
-
-    /// Number of location variables in scope.
-    pub fn num_locs(&self) -> u32 {
-        self.locs
-    }
-
     /// Pushes a qualifier binder with the given bounds (expressed at the
     /// current depth).
     pub fn push_qual(&mut self, bounds: QualBounds) {

@@ -314,14 +314,15 @@ fn step_seq(
             let a = num::arity(n);
             need(instrs, r, a)?;
             // Deepest operand first; `a` is 1 or 2.
-            let ops: [Value; 2] = std::array::from_fn(|i| {
-                if i < a {
-                    val(instrs, r, a - i).clone()
-                } else {
-                    Value::Unit
-                }
-            });
-            match num::eval(n, &ops[..a]) {
+            let mut bits = [0; 2];
+            for (i, slot) in bits.iter_mut().take(a).enumerate() {
+                let v = val(instrs, r, a - i);
+                *slot = v
+                    .as_num()
+                    .map(|(_, b)| b)
+                    .ok_or_else(|| RuntimeError::stuck(format!("numeric op on non-number {v}")))?;
+            }
+            match num::eval(n, bits[0], bits[1]) {
                 Ok(v) => reduce(instrs, r, a, [Instr::Val(v)]),
                 Err(RuntimeError::Trap { reason }) => trap(instrs, r, a, note, reason),
                 Err(other) => return Err(other),

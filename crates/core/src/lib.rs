@@ -40,7 +40,6 @@ pub mod env;
 pub mod error;
 pub mod interp;
 pub mod link;
-pub mod pretty;
 pub mod sizing;
 pub mod solver;
 pub mod subst;

@@ -65,11 +65,6 @@ impl Linker {
         self.runtime.invoke(inst, name, args)
     }
 
-    /// The underlying runtime (store inspection, GC, configuration).
-    pub fn runtime_mut(&mut self) -> &mut Runtime {
-        &mut self.runtime
-    }
-
     /// Read access to the underlying runtime.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime

@@ -696,11 +696,6 @@ pub fn shift_type(t: &Type, by: Depth) -> Type {
     apply_type(t, &Op::ShiftUp(by), Depth::default()).expect("shift cannot fail")
 }
 
-/// Shifts all free variables of a pretype up.
-pub fn shift_pretype(p: &Pretype, by: Depth) -> Pretype {
-    apply_pretype(p, &Op::ShiftUp(by), Depth::default()).expect("shift cannot fail")
-}
-
 /// Shifts all free variables of a heap type up.
 pub fn shift_heaptype(h: &HeapType, by: Depth) -> HeapType {
     apply_heaptype(h, &Op::ShiftUp(by), Depth::default()).expect("shift cannot fail")
@@ -724,16 +719,6 @@ pub fn unshift_type(t: &Type, kind: Kind) -> Result<Type, EscapeError> {
 /// Applies a simultaneous substitution to a type.
 pub fn subst_type(t: &Type, env: &SubstEnv) -> Type {
     apply_type(t, &Op::Subst(env), Depth::default()).expect("subst cannot fail")
-}
-
-/// Applies a simultaneous substitution to a pretype.
-pub fn subst_pretype(p: &Pretype, env: &SubstEnv) -> Pretype {
-    apply_pretype(p, &Op::Subst(env), Depth::default()).expect("subst cannot fail")
-}
-
-/// Applies a simultaneous substitution to a heap type.
-pub fn subst_heaptype(h: &HeapType, env: &SubstEnv) -> HeapType {
-    apply_heaptype(h, &Op::Subst(env), Depth::default()).expect("subst cannot fail")
 }
 
 /// Applies a simultaneous substitution to a size.

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use richwasm_wasm::ast::WInstr;
+
 use super::loc::Loc;
 use super::qual::Qual;
 use super::size::Size;
@@ -153,6 +155,128 @@ pub enum NumInstr {
     /// `dst.reinterpret src`: bit-pattern reinterpretation between
     /// same-width types.
     Reinterpret(NumType, NumType),
+}
+
+impl NumInstr {
+    /// The Wasm instruction this one lowers to, or `None` when it keeps
+    /// the operand's bit pattern: a conversion between two types of one
+    /// width that are both integers or both floats, or a reinterpret
+    /// that does not cross between integer and float. Lowering emits it
+    /// and the interpreter evaluates it, so both run one numeric
+    /// semantics, [`richwasm_wasm::num::eval`].
+    pub fn to_wasm(self) -> Option<WInstr> {
+        use richwasm_wasm::ast::{FBinOp, FRelOp, FUnOp, IBinOp, IRelOp, IUnOp, Sx, Width};
+        use NumType::*;
+        let width = |nt: NumType| match nt.bits() {
+            32 => Width::W32,
+            _ => Width::W64,
+        };
+        let sx = |s: Sign| match s {
+            Sign::S => Sx::S,
+            Sign::U => Sx::U,
+        };
+        // The signedness of an integer type, as a conversion's operand.
+        let int_sx = |nt: NumType| match nt {
+            I32 | I64 => Sx::S,
+            _ => Sx::U,
+        };
+        Some(match self {
+            NumInstr::IntUnop(nt, op) => WInstr::IUn(
+                width(nt),
+                match op {
+                    IntUnop::Clz => IUnOp::Clz,
+                    IntUnop::Ctz => IUnOp::Ctz,
+                    IntUnop::Popcnt => IUnOp::Popcnt,
+                },
+            ),
+            NumInstr::IntBinop(nt, op) => WInstr::IBin(
+                width(nt),
+                match op {
+                    IntBinop::Add => IBinOp::Add,
+                    IntBinop::Sub => IBinOp::Sub,
+                    IntBinop::Mul => IBinOp::Mul,
+                    IntBinop::Div(s) => IBinOp::Div(sx(s)),
+                    IntBinop::Rem(s) => IBinOp::Rem(sx(s)),
+                    IntBinop::And => IBinOp::And,
+                    IntBinop::Or => IBinOp::Or,
+                    IntBinop::Xor => IBinOp::Xor,
+                    IntBinop::Shl => IBinOp::Shl,
+                    IntBinop::Shr(s) => IBinOp::Shr(sx(s)),
+                    IntBinop::Rotl => IBinOp::Rotl,
+                    IntBinop::Rotr => IBinOp::Rotr,
+                },
+            ),
+            NumInstr::Eqz(nt) => WInstr::ITest(width(nt)),
+            NumInstr::IntRelop(nt, op) => WInstr::IRel(
+                width(nt),
+                match op {
+                    IntRelop::Eq => IRelOp::Eq,
+                    IntRelop::Ne => IRelOp::Ne,
+                    IntRelop::Lt(s) => IRelOp::Lt(sx(s)),
+                    IntRelop::Gt(s) => IRelOp::Gt(sx(s)),
+                    IntRelop::Le(s) => IRelOp::Le(sx(s)),
+                    IntRelop::Ge(s) => IRelOp::Ge(sx(s)),
+                },
+            ),
+            NumInstr::FloatUnop(nt, op) => WInstr::FUn(
+                width(nt),
+                match op {
+                    FloatUnop::Abs => FUnOp::Abs,
+                    FloatUnop::Neg => FUnOp::Neg,
+                    FloatUnop::Sqrt => FUnOp::Sqrt,
+                    FloatUnop::Ceil => FUnOp::Ceil,
+                    FloatUnop::Floor => FUnOp::Floor,
+                    FloatUnop::Trunc => FUnOp::Trunc,
+                    FloatUnop::Nearest => FUnOp::Nearest,
+                },
+            ),
+            NumInstr::FloatBinop(nt, op) => WInstr::FBin(
+                width(nt),
+                match op {
+                    FloatBinop::Add => FBinOp::Add,
+                    FloatBinop::Sub => FBinOp::Sub,
+                    FloatBinop::Mul => FBinOp::Mul,
+                    FloatBinop::Div => FBinOp::Div,
+                    FloatBinop::Min => FBinOp::Min,
+                    FloatBinop::Max => FBinOp::Max,
+                    FloatBinop::Copysign => FBinOp::Copysign,
+                },
+            ),
+            NumInstr::FloatRelop(nt, op) => WInstr::FRel(
+                width(nt),
+                match op {
+                    FloatRelop::Eq => FRelOp::Eq,
+                    FloatRelop::Ne => FRelOp::Ne,
+                    FloatRelop::Lt => FRelOp::Lt,
+                    FloatRelop::Gt => FRelOp::Gt,
+                    FloatRelop::Le => FRelOp::Le,
+                    FloatRelop::Ge => FRelOp::Ge,
+                },
+            ),
+            NumInstr::Convert(dst, src) => match (src.is_float(), dst.is_float()) {
+                // Float ↔ float: promote, demote, or nothing.
+                (true, true) => match (src, dst) {
+                    (F32, F64) => WInstr::F64PromoteF32,
+                    (F64, F32) => WInstr::F32DemoteF64,
+                    _ => return None,
+                },
+                (true, false) => WInstr::ITruncF(width(dst), width(src), int_sx(dst)),
+                (false, true) => WInstr::FConvertI(width(dst), width(src), int_sx(src)),
+                // Int → int: wrap, extend (sign from the source type), or
+                // a same-width signedness change, which is free.
+                (false, false) => match (src.bits(), dst.bits()) {
+                    (64, 32) => WInstr::I32WrapI64,
+                    (32, 64) => WInstr::I64ExtendI32(int_sx(src)),
+                    _ => return None,
+                },
+            },
+            NumInstr::Reinterpret(dst, src) => match (src.is_float(), dst.is_float()) {
+                (true, false) => WInstr::IReinterpretF(width(src)),
+                (false, true) => WInstr::FReinterpretI(width(dst)),
+                _ => return None,
+            },
+        })
+    }
 }
 
 /// A RichWasm instruction `e` (paper Fig. 2), including the administrative

@@ -365,16 +365,6 @@ pub fn no_caps_type(ctx: &KindCtx, t: &Type) -> bool {
     no_caps_pretype(ctx, &t.pre)
 }
 
-/// `no_caps` on a heap type.
-pub fn no_caps_heaptype(ctx: &KindCtx, h: &HeapType) -> bool {
-    match h {
-        HeapType::Variant(ts) => ts.iter().all(|t| no_caps_type(ctx, t)),
-        HeapType::Struct(fields) => fields.iter().all(|(t, _)| no_caps_type(ctx, t)),
-        HeapType::Array(t) => no_caps_type(ctx, t),
-        HeapType::Exists(_, _, body) => no_caps_type(ctx, body),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

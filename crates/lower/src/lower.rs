@@ -913,7 +913,7 @@ impl<'a> FnCx<'a> {
         use rw::Instr as I;
         match e {
             I::Val(v) => out.extend(value_consts(v)),
-            I::Num(n) => self.lower_num(*n, out),
+            I::Num(n) => out.extend(n.to_wasm()),
             I::Nop => out.push(WInstr::Nop),
             I::Unreachable => out.push(WInstr::Unreachable),
             I::Drop => {
@@ -1213,137 +1213,6 @@ impl<'a> FnCx<'a> {
         } else {
             // Branch to the function's implicit label (return).
             Ok(self.wdepth + (i - n as u32))
-        }
-    }
-
-    fn lower_num(&mut self, n: rw::NumInstr, out: &mut Vec<WInstr>) {
-        use richwasm::syntax::instr as ri;
-        use rw::NumInstr as N;
-        let width = |nt: rw::NumType| match nt.bits() {
-            32 => Width::W32,
-            _ => Width::W64,
-        };
-        let sx = |s: ri::Sign| match s {
-            ri::Sign::S => w::Sx::S,
-            ri::Sign::U => w::Sx::U,
-        };
-        match n {
-            N::IntUnop(nt, op) => {
-                let o = match op {
-                    ri::IntUnop::Clz => w::IUnOp::Clz,
-                    ri::IntUnop::Ctz => w::IUnOp::Ctz,
-                    ri::IntUnop::Popcnt => w::IUnOp::Popcnt,
-                };
-                out.push(WInstr::IUn(width(nt), o));
-            }
-            N::IntBinop(nt, op) => {
-                let o = match op {
-                    ri::IntBinop::Add => w::IBinOp::Add,
-                    ri::IntBinop::Sub => w::IBinOp::Sub,
-                    ri::IntBinop::Mul => w::IBinOp::Mul,
-                    ri::IntBinop::Div(s) => w::IBinOp::Div(sx(s)),
-                    ri::IntBinop::Rem(s) => w::IBinOp::Rem(sx(s)),
-                    ri::IntBinop::And => w::IBinOp::And,
-                    ri::IntBinop::Or => w::IBinOp::Or,
-                    ri::IntBinop::Xor => w::IBinOp::Xor,
-                    ri::IntBinop::Shl => w::IBinOp::Shl,
-                    ri::IntBinop::Shr(s) => w::IBinOp::Shr(sx(s)),
-                    ri::IntBinop::Rotl => w::IBinOp::Rotl,
-                    ri::IntBinop::Rotr => w::IBinOp::Rotr,
-                };
-                out.push(WInstr::IBin(width(nt), o));
-            }
-            N::Eqz(nt) => out.push(WInstr::ITest(width(nt))),
-            N::IntRelop(nt, op) => {
-                let o = match op {
-                    ri::IntRelop::Eq => w::IRelOp::Eq,
-                    ri::IntRelop::Ne => w::IRelOp::Ne,
-                    ri::IntRelop::Lt(s) => w::IRelOp::Lt(sx(s)),
-                    ri::IntRelop::Gt(s) => w::IRelOp::Gt(sx(s)),
-                    ri::IntRelop::Le(s) => w::IRelOp::Le(sx(s)),
-                    ri::IntRelop::Ge(s) => w::IRelOp::Ge(sx(s)),
-                };
-                out.push(WInstr::IRel(width(nt), o));
-            }
-            N::FloatUnop(nt, op) => {
-                let o = match op {
-                    ri::FloatUnop::Abs => w::FUnOp::Abs,
-                    ri::FloatUnop::Neg => w::FUnOp::Neg,
-                    ri::FloatUnop::Sqrt => w::FUnOp::Sqrt,
-                    ri::FloatUnop::Ceil => w::FUnOp::Ceil,
-                    ri::FloatUnop::Floor => w::FUnOp::Floor,
-                    ri::FloatUnop::Trunc => w::FUnOp::Trunc,
-                    ri::FloatUnop::Nearest => w::FUnOp::Nearest,
-                };
-                out.push(WInstr::FUn(width(nt), o));
-            }
-            N::FloatBinop(nt, op) => {
-                let o = match op {
-                    ri::FloatBinop::Add => w::FBinOp::Add,
-                    ri::FloatBinop::Sub => w::FBinOp::Sub,
-                    ri::FloatBinop::Mul => w::FBinOp::Mul,
-                    ri::FloatBinop::Div => w::FBinOp::Div,
-                    ri::FloatBinop::Min => w::FBinOp::Min,
-                    ri::FloatBinop::Max => w::FBinOp::Max,
-                    ri::FloatBinop::Copysign => w::FBinOp::Copysign,
-                };
-                out.push(WInstr::FBin(width(nt), o));
-            }
-            N::FloatRelop(nt, op) => {
-                let o = match op {
-                    ri::FloatRelop::Eq => w::FRelOp::Eq,
-                    ri::FloatRelop::Ne => w::FRelOp::Ne,
-                    ri::FloatRelop::Lt => w::FRelOp::Lt,
-                    ri::FloatRelop::Gt => w::FRelOp::Gt,
-                    ri::FloatRelop::Le => w::FRelOp::Le,
-                    ri::FloatRelop::Ge => w::FRelOp::Ge,
-                };
-                out.push(WInstr::FRel(width(nt), o));
-            }
-            N::Convert(dst, src) => self.lower_convert(dst, src, out),
-            N::Reinterpret(dst, src) => {
-                use rw::NumType::*;
-                match (src, dst) {
-                    (F32, I32) | (F32, U32) => out.push(WInstr::IReinterpretF(Width::W32)),
-                    (F64, I64) | (F64, U64) => out.push(WInstr::IReinterpretF(Width::W64)),
-                    (I32, F32) | (U32, F32) => out.push(WInstr::FReinterpretI(Width::W32)),
-                    (I64, F64) | (U64, F64) => out.push(WInstr::FReinterpretI(Width::W64)),
-                    _ => {} // same-representation reinterpret: no-op
-                }
-            }
-        }
-    }
-
-    fn lower_convert(&mut self, dst: rw::NumType, src: rw::NumType, out: &mut Vec<WInstr>) {
-        use rw::NumType::*;
-        match (src, dst) {
-            // int → int
-            (I64 | U64, I32 | U32) => out.push(WInstr::I32WrapI64),
-            (I32, I64 | U64) => out.push(WInstr::I64ExtendI32(w::Sx::S)),
-            (U32, I64 | U64) => out.push(WInstr::I64ExtendI32(w::Sx::U)),
-            (I32, U32) | (U32, I32) | (I64, U64) | (U64, I64) => {}
-            // int → float
-            (I32, F32) => out.push(WInstr::FConvertI(Width::W32, Width::W32, w::Sx::S)),
-            (U32, F32) => out.push(WInstr::FConvertI(Width::W32, Width::W32, w::Sx::U)),
-            (I64, F32) => out.push(WInstr::FConvertI(Width::W32, Width::W64, w::Sx::S)),
-            (U64, F32) => out.push(WInstr::FConvertI(Width::W32, Width::W64, w::Sx::U)),
-            (I32, F64) => out.push(WInstr::FConvertI(Width::W64, Width::W32, w::Sx::S)),
-            (U32, F64) => out.push(WInstr::FConvertI(Width::W64, Width::W32, w::Sx::U)),
-            (I64, F64) => out.push(WInstr::FConvertI(Width::W64, Width::W64, w::Sx::S)),
-            (U64, F64) => out.push(WInstr::FConvertI(Width::W64, Width::W64, w::Sx::U)),
-            // float → int
-            (F32, I32) => out.push(WInstr::ITruncF(Width::W32, Width::W32, w::Sx::S)),
-            (F32, U32) => out.push(WInstr::ITruncF(Width::W32, Width::W32, w::Sx::U)),
-            (F32, I64) => out.push(WInstr::ITruncF(Width::W64, Width::W32, w::Sx::S)),
-            (F32, U64) => out.push(WInstr::ITruncF(Width::W64, Width::W32, w::Sx::U)),
-            (F64, I32) => out.push(WInstr::ITruncF(Width::W32, Width::W64, w::Sx::S)),
-            (F64, U32) => out.push(WInstr::ITruncF(Width::W32, Width::W64, w::Sx::U)),
-            (F64, I64) => out.push(WInstr::ITruncF(Width::W64, Width::W64, w::Sx::S)),
-            (F64, U64) => out.push(WInstr::ITruncF(Width::W64, Width::W64, w::Sx::U)),
-            // float ↔ float
-            (F32, F64) => out.push(WInstr::F64PromoteF32),
-            (F64, F32) => out.push(WInstr::F32DemoteF64),
-            (F32, F32) | (F64, F64) | (I32, I32) | (U32, U32) | (I64, I64) | (U64, U64) => {}
         }
     }
 

@@ -393,14 +393,6 @@ impl Module {
         })
     }
 
-    /// Looks up an exported function's global index by name.
-    pub fn export_func_index(&self, name: &str) -> Option<u32> {
-        self.exports.iter().find_map(|e| match e.kind {
-            ExportKind::Func(i) if e.name == name => Some(i),
-            _ => None,
-        })
-    }
-
     /// Interns a function type, returning its index.
     pub fn intern_type(&mut self, ft: FuncType) -> u32 {
         if let Some(i) = self.types.iter().position(|t| *t == ft) {

@@ -33,8 +33,7 @@ pub mod binary;
 pub mod compile;
 pub mod decode;
 pub mod exec;
-mod num;
-pub mod text;
+pub mod num;
 pub mod validate;
 pub mod vm;
 

@@ -1,5 +1,7 @@
 //! The instruction semantics both execution tiers share: every numeric
-//! operator, `memory.grow`, and the bounds-checked memory accesses.
+//! operator, `memory.grow`, and the bounds-checked memory accesses. The
+//! RichWasm interpreter's numeric step uses the same operators, through
+//! [`eval`].
 //!
 //! Operands and results are raw bit patterns, 32-bit values
 //! zero-extended to `u64` — the bytecode VM's slot representation. The
@@ -12,10 +14,13 @@
 //! computed in f32; `abs`, `neg` and `copysign` only touch the sign bit
 //! (a signalling NaN passes through unchanged); `min`/`max` return the
 //! positive canonical NaN when an operand is NaN and order −0 below +0;
-//! `nearest` rounds ties to even and keeps the sign of zero; every
-//! int→float conversion rounds once.
+//! every other float operator whose result is a NaN gives that
+//! canonical NaN too (Rust leaves the payload unspecified, so it can
+//! differ between two inlined copies of the same `+`); `nearest` rounds
+//! ties to even and keeps the sign of zero; every int→float conversion
+//! rounds once.
 
-use crate::ast::{FBinOp, FRelOp, FUnOp, IBinOp, IRelOp, IUnOp, Sx, ValType, Width};
+use crate::ast::{FBinOp, FRelOp, FUnOp, IBinOp, IRelOp, IUnOp, Sx, ValType, WInstr, Width};
 use crate::exec::{trap, WasmTrap, PAGE};
 
 /// Binds each `$x` to the float of width `$w` whose bits are `$v`, then
@@ -66,6 +71,46 @@ fn canonical_nan(w: Width) -> u64 {
         Width::W32 => 0x7fc0_0000,
         Width::W64 => 0x7ff8_0000_0000_0000,
     }
+}
+
+/// `bits`, or the positive canonical NaN if `bits` is a NaN of width `w`.
+fn canonical(w: Width, bits: u64) -> u64 {
+    if with_float!(w, |x = bits| x.is_nan()) {
+        canonical_nan(w)
+    } else {
+        bits
+    }
+}
+
+/// Evaluates the numeric instruction `i` on the bits of its operands: `a`
+/// is the only or the deeper operand, `b` the top one (ignored by unary
+/// operators). Reinterprets return `a` unchanged.
+///
+/// # Errors
+///
+/// The traps of division, remainder and float→int truncation.
+///
+/// # Panics
+///
+/// When `i` is not a numeric instruction.
+pub fn eval(i: &WInstr, a: u64, b: u64) -> Result<u64, WasmTrap> {
+    Ok(match *i {
+        WInstr::IUn(w, op) => iun(w, op, a),
+        WInstr::IBin(w, op) => ibin(w, op, a, b)?,
+        WInstr::ITest(w) => u64::from(itest(w, a)),
+        WInstr::IRel(w, op) => u64::from(irel(w, op, a, b)),
+        WInstr::FUn(w, op) => fun(w, op, a),
+        WInstr::FBin(w, op) => fbin(w, op, a, b),
+        WInstr::FRel(w, op) => u64::from(frel(w, op, a, b)),
+        WInstr::I32WrapI64 => u64::from(a as u32),
+        WInstr::I64ExtendI32(sx) => extend(sx, a),
+        WInstr::ITruncF(iw, fw, sx) => itrunc(iw, fw, sx, a)?,
+        WInstr::FConvertI(fw, iw, sx) => fconvert(fw, iw, sx, a),
+        WInstr::F32DemoteF64 => demote(a),
+        WInstr::F64PromoteF32 => promote(a),
+        WInstr::IReinterpretF(_) | WInstr::FReinterpretI(_) => a,
+        ref other => panic!("num::eval on the non-numeric instruction {other:?}"),
+    })
 }
 
 /// The access width, in bytes, of a load or store of type `t`.
@@ -244,21 +289,24 @@ pub(crate) fn fun(w: Width, op: FUnOp, a: u64) -> u64 {
     match op {
         FUnOp::Abs => a & !sign_bit(w),
         FUnOp::Neg => a ^ sign_bit(w),
-        FUnOp::Sqrt => with_float!(w, |x = a| x.sqrt().bits()),
-        FUnOp::Ceil => with_float!(w, |x = a| x.ceil().bits()),
-        FUnOp::Floor => with_float!(w, |x = a| x.floor().bits()),
-        FUnOp::Trunc => with_float!(w, |x = a| x.trunc().bits()),
+        FUnOp::Sqrt => canonical(w, with_float!(w, |x = a| x.sqrt().bits())),
+        FUnOp::Ceil => canonical(w, with_float!(w, |x = a| x.ceil().bits())),
+        FUnOp::Floor => canonical(w, with_float!(w, |x = a| x.floor().bits())),
+        FUnOp::Trunc => canonical(w, with_float!(w, |x = a| x.trunc().bits())),
         // `round` breaks ties away from zero: step an odd tie back
         // toward zero, then restore the operand's sign (−0.5 → −0).
-        FUnOp::Nearest => with_float!(w, |x = a| {
-            let r = x.round();
-            let r = if (r - x).abs() == 0.5 && r % 2.0 != 0.0 {
-                r - x.signum()
-            } else {
-                r
-            };
-            r.copysign(x).bits()
-        }),
+        FUnOp::Nearest => canonical(
+            w,
+            with_float!(w, |x = a| {
+                let r = x.round();
+                let r = if (r - x).abs() == 0.5 && r % 2.0 != 0.0 {
+                    r - x.signum()
+                } else {
+                    r
+                };
+                r.copysign(x).bits()
+            }),
+        ),
     }
 }
 
@@ -266,10 +314,10 @@ pub(crate) fn fun(w: Width, op: FUnOp, a: u64) -> u64 {
 pub(crate) fn fbin(w: Width, op: FBinOp, a: u64, b: u64) -> u64 {
     let sign = sign_bit(w);
     match op {
-        FBinOp::Add => with_float!(w, |x = a, y = b| (x + y).bits()),
-        FBinOp::Sub => with_float!(w, |x = a, y = b| (x - y).bits()),
-        FBinOp::Mul => with_float!(w, |x = a, y = b| (x * y).bits()),
-        FBinOp::Div => with_float!(w, |x = a, y = b| (x / y).bits()),
+        FBinOp::Add => canonical(w, with_float!(w, |x = a, y = b| (x + y).bits())),
+        FBinOp::Sub => canonical(w, with_float!(w, |x = a, y = b| (x - y).bits())),
+        FBinOp::Mul => canonical(w, with_float!(w, |x = a, y = b| (x * y).bits())),
+        FBinOp::Div => canonical(w, with_float!(w, |x = a, y = b| (x / y).bits())),
         FBinOp::Min | FBinOp::Max => {
             let min = op == FBinOp::Min;
             with_float!(w, |x = a, y = b| {
@@ -364,12 +412,12 @@ pub(crate) fn extend(sx: Sx, a: u64) -> u64 {
 
 /// `f32.demote_f64`.
 pub(crate) fn demote(a: u64) -> u64 {
-    (f64::from_bits(a) as f32).bits()
+    canonical(Width::W32, (f64::from_bits(a) as f32).bits())
 }
 
 /// `f64.promote_f32`.
 pub(crate) fn promote(a: u64) -> u64 {
-    f64::from(f32::from_bits(a as u32)).to_bits()
+    canonical(Width::W64, f64::from(f32::from_bits(a as u32)).to_bits())
 }
 
 #[cfg(test)]
@@ -486,6 +534,18 @@ mod tests {
         assert_eq!(fbin(W64, FBinOp::Min, f64b(-0.0), f64b(0.0)), f64b(-0.0));
         assert_eq!(fbin(W64, FBinOp::Max, f64b(0.0), f64b(-0.0)), f64b(0.0));
         assert_eq!(fbin(W64, FBinOp::Max, f64b(-3.0), f64b(2.0)), f64b(2.0));
+    }
+
+    #[test]
+    fn every_nan_result_is_the_positive_canonical_nan() {
+        let (nan32, nan64) = (canonical_nan(W32), canonical_nan(W64));
+        assert_eq!(fbin(W32, FBinOp::Add, SNAN32, SNAN32 | 1 << 31), nan32);
+        assert_eq!(fbin(W64, FBinOp::Mul, SNAN64 | 1 << 63, f64b(2.0)), nan64);
+        assert_eq!(fbin(W64, FBinOp::Div, f64b(0.0), f64b(0.0)), nan64);
+        assert_eq!(fun(W64, FUnOp::Sqrt, f64b(-1.0)), nan64);
+        assert_eq!(fun(W32, FUnOp::Nearest, SNAN32 | 1 << 31), nan32);
+        assert_eq!(demote(SNAN64 | 1 << 63), nan32);
+        assert_eq!(promote(SNAN32), nan64);
     }
 
     #[test]

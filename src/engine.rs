@@ -551,10 +551,6 @@ impl Analysis {
 pub struct EngineConfig {
     /// Execution mode (default: [`Exec::Differential`]).
     pub exec: Exec,
-    /// Run the RichWasm substructural check (default: `true`). Turning it
-    /// off requires [`Exec::Interp`]: lowering is type-directed, so the
-    /// Wasm path cannot run unchecked.
-    pub typecheck: bool,
     /// Run a GC every `n` interpreter steps (default: only on demand;
     /// `Some(0)` also means only on demand).
     pub auto_gc_every: Option<u64>,
@@ -576,7 +572,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             exec: Exec::Differential,
-            typecheck: true,
             auto_gc_every: None,
             fuel: None,
             analysis: Analysis::Warn,
@@ -587,7 +582,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration (differential mode, typecheck on).
+    /// The default configuration (differential mode).
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
@@ -595,17 +590,6 @@ impl EngineConfig {
     /// Selects the execution mode.
     pub fn exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Shorthand for `exec(Exec::Interp)`.
-    pub fn interp_only(self) -> Self {
-        self.exec(Exec::Interp)
-    }
-
-    /// Toggles the RichWasm type check.
-    pub fn typecheck(mut self, on: bool) -> Self {
-        self.typecheck = on;
         self
     }
 
@@ -654,8 +638,7 @@ impl EngineConfig {
     }
 
     /// The stable 128-bit fingerprint of the **semantic** fields (exec
-    /// mode, typecheck, auto-GC, fuel, analysis, Wasm tier — not
-    /// `cache_dir`): the
+    /// mode, auto-GC, fuel, analysis, Wasm tier — not `cache_dir`): the
     /// configuration's contribution to cache keys, and the compatibility
     /// stamp embedded in serialized artifacts.
     pub fn fingerprint(&self) -> u128 {
@@ -663,8 +646,8 @@ impl EngineConfig {
         let mut h = Fnv128::new();
         let _ = write!(
             h,
-            "exec:{:?}|typecheck:{}|auto_gc:{:?}|fuel:{:?}|analysis:{:?}|tier:{:?}",
-            self.exec, self.typecheck, self.auto_gc_every, self.fuel, self.analysis, self.wasm_tier
+            "exec:{:?}|auto_gc:{:?}|fuel:{:?}|analysis:{:?}|tier:{:?}",
+            self.exec, self.auto_gc_every, self.fuel, self.analysis, self.wasm_tier
         );
         h.0
     }
@@ -994,7 +977,7 @@ impl fmt::Display for CacheStats {
 /// Magic + format version of a serialized [`Artifact`] (`DESIGN.md` §9);
 /// bump the trailing byte on any layout change so stale files fall back
 /// to a cold compile instead of misparsing.
-const ARTIFACT_MAGIC: &[u8] = b"RWART\x04";
+const ARTIFACT_MAGIC: &[u8] = b"RWART\x05";
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -1154,7 +1137,7 @@ struct ArtifactInner {
     /// RichWasm modules (post-frontend), in instantiation order. Every
     /// instance's runtime shares these ASTs rather than copying them.
     modules: Vec<(String, Arc<syntax::Module>)>,
-    /// Checked module environments (empty when `typecheck` is off).
+    /// Checked module environments, one per RichWasm module.
     envs: Vec<ModuleEnv>,
     /// The whole-program table layout the modules were lowered under.
     link_plan: LinkPlan,
@@ -1215,12 +1198,7 @@ impl Artifact {
             .map(|(_, m)| &**m)
     }
 
-    /// Module names in instantiation order.
-    pub fn module_names(&self) -> impl Iterator<Item = &str> {
-        self.inner.modules.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// The checked [`ModuleEnv`]s (empty when the check was disabled).
+    /// The checked [`ModuleEnv`]s, one per RichWasm module.
     pub fn envs(&self) -> &[ModuleEnv] {
         &self.inner.envs
     }
@@ -1301,7 +1279,6 @@ impl Artifact {
         let mut out = Vec::new();
         out.extend_from_slice(ARTIFACT_MAGIC);
         out.extend_from_slice(&inner.config.fingerprint().to_le_bytes());
-        out.push(inner.config.typecheck as u8);
         write_opt_u64(&mut out, inner.config.auto_gc_every);
         write_opt_u64(&mut out, inner.config.fuel);
         out.push(inner.config.analysis.code());
@@ -1379,7 +1356,6 @@ impl Artifact {
             pos: ARTIFACT_MAGIC.len(),
         };
         let fingerprint = u128::from_le_bytes(r.array::<16>().ok_or_else(|| corrupt("eof"))?);
-        let typecheck = r.u8().ok_or_else(|| corrupt("eof"))? != 0;
         let auto_gc_every = r.opt_u64().ok_or_else(|| corrupt("eof"))?;
         let fuel = r.opt_u64().ok_or_else(|| corrupt("eof"))?;
         let analysis_level = Analysis::from_code(r.u8().ok_or_else(|| corrupt("eof"))?)
@@ -1388,7 +1364,6 @@ impl Artifact {
             .ok_or_else(|| corrupt("bad wasm tier code"))?;
         let config = EngineConfig {
             exec: Exec::Wasm,
-            typecheck,
             auto_gc_every,
             fuel,
             analysis: analysis_level,
@@ -1552,9 +1527,9 @@ impl Artifact {
     /// Typed linking + instantiation of the (already checked) RichWasm
     /// modules on a fresh interpreter runtime — host modules first, then
     /// the guests — sealed so [`Instance::reset`] can restore it in
-    /// place. Modules were checked at compile time (when the check is
-    /// on), so per-module re-checking is off; the typed linker's FFI
-    /// boundary check still runs.
+    /// place. Modules were checked at compile time, so per-module
+    /// re-checking is off; the typed linker's FFI boundary check still
+    /// runs.
     fn build_runtime(&self, replay: &[ReplayLog]) -> Result<Runtime, PipelineError> {
         let config = &self.inner.config;
         let mut rt = Runtime::new();
@@ -2315,8 +2290,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with the default configuration (differential mode,
-    /// typecheck on).
+    /// An engine with the default configuration (differential mode).
     pub fn new() -> Engine {
         Engine::default()
     }
@@ -2342,12 +2316,6 @@ impl Engine {
     /// Number of artifacts currently cached.
     pub fn cache_len(&self) -> usize {
         self.cache.lock().expect("engine cache poisoned").len()
-    }
-
-    /// Drops every cached artifact (instances and externally held
-    /// artifact clones stay valid — they own their data via `Arc`).
-    pub fn clear_cache(&self) {
-        self.cache.lock().expect("engine cache poisoned").clear();
     }
 
     /// Compiles a module set to an [`Artifact`], or returns the cached
@@ -2486,22 +2454,6 @@ impl Engine {
     fn compile_cold(&self, set: &ModuleSet, key: CacheKey) -> Result<Artifact, PipelineError> {
         let config = &self.config;
 
-        // Lowering is type-directed: it checks each body to get the trace
-        // it lowers from, so an unchecked Wasm build is impossible by
-        // construction. Reject the combination instead of silently
-        // re-enabling checks.
-        if !config.typecheck && config.exec.wants_wasm() {
-            return Err(PipelineError::new(
-                Stage::Typecheck,
-                None,
-                PipelineErrorKind::Unsupported(
-                    "typecheck(false) requires Exec::Interp: lowering is type-directed, so \
-                     the Wasm path cannot run unchecked"
-                        .into(),
-                ),
-            ));
-        }
-
         // Precompiled binaries carry no RichWasm types: the interpreter
         // backend cannot run them, so the differential cross-check (and
         // Interp mode) must reject them up front rather than trap later.
@@ -2576,9 +2528,9 @@ impl Engine {
         // A Wasm-bound compile checks only the declarations here: lowering
         // checks each function body once, just before lowering it, and
         // lowers from that check's trace (DESIGN §4).
-        let bodies_in_lowering = config.typecheck && config.exec.wants_wasm();
+        let bodies_in_lowering = config.exec.wants_wasm();
         enum Checked {
-            Rich(syntax::Module, Option<ModuleEnv>, Duration, Duration),
+            Rich(syntax::Module, ModuleEnv, Duration, Duration),
             Wasm(Box<w::Module>, Duration),
         }
         let check_one = |name: &str, src: &Source| -> Result<Checked, PipelineError> {
@@ -2600,16 +2552,12 @@ impl Engine {
             };
             let frontend = t0.elapsed();
             let t1 = Instant::now();
-            let env = if !config.typecheck {
-                None
+            let env = if bodies_in_lowering {
+                check_module_decls(&m)
             } else {
-                let checked = if bodies_in_lowering {
-                    check_module_decls(&m)
-                } else {
-                    check_module(&m)
-                };
-                Some(checked.map_err(|e| type_error(name, e))?)
-            };
+                check_module(&m)
+            }
+            .map_err(|e| type_error(name, e))?;
             Ok(Checked::Rich(m, env, frontend, t1.elapsed()))
         };
         let results: Vec<Result<Checked, PipelineError>> = if set.sources.len() <= 1 {
@@ -2652,7 +2600,7 @@ impl Engine {
                 Err(e) => return Err(first_body_error(&modules).unwrap_or(e)),
                 Ok(Checked::Rich(m, env, frontend, typecheck)) => {
                     modules.push((name.clone(), m));
-                    envs.extend(env);
+                    envs.push(env);
                     frontend_total += frontend;
                     typecheck_total += typecheck;
                 }
@@ -2686,9 +2634,7 @@ impl Engine {
         }
         if !modules.is_empty() || decoded.is_empty() {
             timings.add(Stage::Frontend, frontend_total);
-            if config.typecheck {
-                timings.add(Stage::Typecheck, typecheck_total);
-            }
+            timings.add(Stage::Typecheck, typecheck_total);
         }
         if !decoded.is_empty() {
             timings.add(Stage::Decode, decode_total);
@@ -2979,7 +2925,7 @@ mod tests {
         let renamed = ModuleSet::new().richwasm("other", syntax::Module::default());
         assert_ne!(k1, cache_key(&cfg, &renamed), "module name is content");
 
-        let recfg = cfg.interp_only();
+        let recfg = cfg.exec(Exec::Interp);
         assert_ne!(k1, cache_key(&recfg, &set), "config is part of the key");
     }
 

@@ -15,7 +15,7 @@
 
 use richwasm::syntax::Value;
 use richwasm_bench::workloads::{counter_client, counter_library};
-use richwasm_repro::engine::{Engine, EngineConfig, Instance, ModuleSet, Stage};
+use richwasm_repro::engine::{Engine, EngineConfig, Exec, Instance, ModuleSet, Stage};
 
 fn counter_set() -> ModuleSet {
     ModuleSet::new()
@@ -52,7 +52,7 @@ fn double_setup_fails_at_runtime_not_memory() {
     // the ref_to_lin discipline turns that into a clean runtime failure
     // (the paper's "fail at runtime" semantics for linking types, §2.2),
     // not a memory-safety violation.
-    let engine = Engine::with_config(EngineConfig::new().interp_only());
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
     let mut inst = fresh_interp_instance(&engine);
     inst.invoke("app", "setup", vec![Value::i32(1)]).unwrap();
     let err = inst
@@ -80,7 +80,7 @@ fn double_setup_fails_at_runtime_not_memory() {
 fn counter_keeps_single_linear_cell() {
     // Throughout the client's life there is exactly one linear counter
     // cell (plus the option cell machinery), and `total` frees it.
-    let engine = Engine::with_config(EngineConfig::new().interp_only());
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
     let mut inst = fresh_interp_instance(&engine);
     inst.invoke("app", "setup", vec![Value::i32(3)]).unwrap();
     let frees_before = inst.runtime().store.mem.frees;

@@ -818,7 +818,7 @@ fn load_wasm_runs_external_modules_and_rejects_differential() {
 
     // Differential (default) and Interp modes must reject cleanly at the
     // decode stage — no trap, no half-configured instance.
-    for config in [EngineConfig::new(), EngineConfig::new().interp_only()] {
+    for config in [EngineConfig::new(), EngineConfig::new().exec(Exec::Interp)] {
         let engine = Engine::with_config(config);
         let err = engine.load_wasm(bytes.clone()).unwrap_err();
         assert_eq!(err.stage, Stage::Decode);
@@ -1031,7 +1031,7 @@ fn artifact_serialize_round_trips_and_rejects_tampering() {
     assert!(hosted.serialize().is_none());
 }
 
-// The flat-bytecode tier: `.rwart` v4 persistence (bytecode rebuilt
+// The flat-bytecode tier: `.rwart` persistence (bytecode rebuilt
 // on load), step-for-step agreement with the tree tier, and stale-format
 // fallbacks.
 
@@ -1048,11 +1048,11 @@ fn fnv128(bytes: &[u8]) -> u128 {
 }
 
 #[test]
-fn bytecode_artifact_v4_round_trips_byte_exact() {
+fn bytecode_artifact_round_trips_byte_exact() {
     let engine = Engine::with_config(EngineConfig::new().exec(Exec::Wasm));
     let artifact = engine.compile(&counter_set()).unwrap();
-    let bytes = artifact.serialize().expect("v4 artifact serializes");
-    assert_eq!(&bytes[..6], b"RWART\x04", "v4 magic");
+    let bytes = artifact.serialize().expect("v5 artifact serializes");
+    assert_eq!(&bytes[..6], b"RWART\x05", "v5 magic");
 
     // deserialize ∘ serialize is byte-identical: modules, metadata and
     // analysis reports survive the round trip exactly.
@@ -1078,7 +1078,7 @@ fn bytecode_artifact_v4_round_trips_byte_exact() {
 }
 
 /// Rewrites a current `.rwart` file as format `version`, appending
-/// `trailer` (the sections that version had and v4 dropped) and
+/// `trailer` (the sections that version had and v5 lacks) and
 /// re-sealing the checksum, so only the layout marks it stale.
 fn restamp(bytes: &[u8], version: u8, trailer: &[u8]) -> Vec<u8> {
     let mut out = bytes[..bytes.len() - 16].to_vec();
@@ -1095,8 +1095,9 @@ fn v2_cache_files_fall_back_to_a_cold_recompile() {
     let config = || EngineConfig::new().exec(Exec::Wasm).cache_dir(&dir);
 
     // Warm the disk cache, then rewrite the entry as an older format's
-    // file: v2 (no trailing section) and v3 (an empty bytecode section,
-    // a `u32` count of zero, after the analysis reports).
+    // file: v2 (no trailing section), v3 (an empty bytecode section, a
+    // `u32` count of zero, after the analysis reports) and v4 (only the
+    // version byte changes).
     let a = Engine::with_config(config());
     let artifact = a.compile(&counter_set()).unwrap();
     let path = std::fs::read_dir(&dir)
@@ -1105,12 +1106,12 @@ fn v2_cache_files_fall_back_to_a_cold_recompile() {
         .find(|p| p.extension().is_some_and(|e| e == "rwart"))
         .expect("cache entry written");
     let current = std::fs::read(&path).unwrap();
-    for (version, trailer) in [(2u8, &[][..]), (3, &0u32.to_le_bytes()[..])] {
+    for (version, trailer) in [(2u8, &[][..]), (3, &0u32.to_le_bytes()[..]), (4, &[][..])] {
         let stale = restamp(&current, version, trailer);
         std::fs::write(&path, &stale).unwrap();
         assert!(
             richwasm_repro::Artifact::deserialize(&stale).is_err(),
-            "a v{version} file must not deserialize as v4"
+            "a v{version} file must not deserialize as v5"
         );
 
         // A fresh engine sees the stale file, counts a disk miss,
@@ -1126,7 +1127,7 @@ fn v2_cache_files_fall_back_to_a_cold_recompile() {
         assert_eq!(
             std::fs::read(&path).unwrap(),
             current,
-            "v{version} entry rewritten as v4"
+            "v{version} entry rewritten as v5"
         );
         let c = Engine::with_config(config());
         c.compile(&counter_set()).unwrap();

@@ -15,10 +15,11 @@
 //! `richwasm_bench::workloads`; every path here runs through the
 //! compile-once/run-many [`Engine`] API.
 
+use richwasm::interp::Runtime;
 use richwasm::TypeError;
 use richwasm_bench::workloads::{lin_ref_l3, stash_client, stash_module};
 use richwasm_l3::{L3Expr, L3Fun, L3Import, L3Module};
-use richwasm_repro::engine::{Engine, EngineConfig, ModuleSet, PipelineErrorKind, Stage};
+use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, PipelineErrorKind, Stage};
 
 #[test]
 fn fig1_buggy_stash_is_rejected_by_richwasm() {
@@ -99,17 +100,18 @@ fn double_free_attempt_traps_at_runtime_without_types() {
         );
         c
     };
-    // Simulate a world without RichWasm types.
-    let engine = Engine::with_config(EngineConfig::new().typecheck(false).interp_only());
-    let mut instance = engine
-        .instantiate(
-            &ModuleSet::new()
-                .ml("ml", stash_module(true))
-                .l3("l3", l3_bad),
-        )
+    // Simulate a world without RichWasm types: the interpreter alone,
+    // with its per-module check off (the typed linker still runs).
+    let mut rt = Runtime::new();
+    rt.config.check_modules = false;
+    let ml = richwasm_ml::compile_module(&stash_module(true)).expect("the ML frontend accepts it");
+    let l3 = richwasm_l3::compile_module(&l3_bad).expect("the L3 frontend accepts it");
+    rt.instantiate("ml", ml)
         .expect("without the checker, the faulty program links fine");
-    let err = instance.invoke("l3", "main", vec![]).unwrap_err();
-    assert_eq!(err.stage, Stage::Execute);
+    let l3 = rt
+        .instantiate("l3", l3)
+        .expect("without the checker, the faulty program links fine");
+    let err = rt.invoke(l3, "main", vec![]).unwrap_err();
     // Without static checking the fault still *manifests* — but only
     // dynamically, either as a memory trap or as a stuck configuration
     // (the type-safety contract is broken, so progress fails). The typed
@@ -141,7 +143,7 @@ fn lying_about_the_boundary_type_is_a_link_error() {
         funcs: vec![bad_import],
         ..richwasm::syntax::Module::default()
     };
-    let engine = Engine::with_config(EngineConfig::new().interp_only());
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
     let set = ModuleSet::new()
         .ml("ml", stash_module(false))
         .richwasm("client", bad_module);
@@ -195,7 +197,7 @@ fn stashing_linear_memory_in_gc_memory_is_collected_via_finalizer() {
             ),
         }],
     };
-    let engine = Engine::with_config(EngineConfig::new().interp_only());
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
     let mut instance = engine
         .instantiate(&ModuleSet::new().ml("ml", stash_module(false)).l3("l3", l3))
         .unwrap();

@@ -12,6 +12,7 @@ use richwasm::syntax::instr::{FloatBinop, FloatUnop};
 use richwasm::syntax::{
     FunType, Func, Global, GlobalKind, Instr, Module, NumInstr, NumType, Pretype, Value,
 };
+use richwasm::RuntimeError;
 use richwasm_bench::workloads;
 use richwasm_l3::{L3Expr, L3Fun, L3Module, L3Op, L3Ty};
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlModule, MlTy};
@@ -297,71 +298,137 @@ fn pipeline_round_trip_binaries_validate_and_agree() {
     );
 }
 
-/// RichWasm float programs whose lowered Wasm must give the spec's bits,
-/// run under the default differential engine so the interpreter and the
-/// Wasm backend are compared bit for bit: a conversion that must round
-/// once, `abs` of a signalling NaN, `min` with a NaN, and
-/// `nearest(-0.5)`.
+/// A known-answer table of numeric edge cases, each row's bits taken
+/// from the Wasm spec rather than from any executor: float→int
+/// truncation at the edges of the target range, division traps, shift
+/// counts past the width, wrap and extension, same-width signedness
+/// changes, NaN results, a conversion that must round once, `abs` of a
+/// signalling NaN, `min` with a NaN, and `nearest(-0.5)`. Every row runs
+/// under the interpreter alone, the lowered Wasm alone, and the default
+/// differential engine, and must give the table's bits or trap where the
+/// table says so.
 #[test]
-fn float_programs_agree_bit_for_bit_in_differential_mode() {
-    let f32_main = |body: Vec<Instr>| Module {
+fn numeric_known_answers_hold_in_every_exec_mode() {
+    use richwasm::syntax::instr::{IntBinop, IntUnop, Sign};
+    use NumType::*;
+    let c = |nt: NumType, bits: u64| Instr::Val(Value::Num(nt, bits));
+    let f32c = |x: f32| c(F32, x.to_bits().into());
+    let f64c = |x: f64| c(F64, x.to_bits());
+    let cvt = |dst, src| Instr::Num(NumInstr::Convert(dst, src));
+    let ibin = |nt, op| Instr::Num(NumInstr::IntBinop(nt, op));
+    let fbin = |nt, op| Instr::Num(NumInstr::FloatBinop(nt, op));
+    const TRAP: Option<u64> = None;
+    let two63 = 9223372036854775808.0;
+    let two64 = 18446744073709551616.0;
+    #[rustfmt::skip]
+    let rows: Vec<(&str, NumType, Vec<Instr>, Option<u64>)> = vec![
+        // float → int truncation: valid iff the truncated value fits.
+        ("i32.trunc_f64_s(2^31)", I32, vec![f64c(2147483648.0), cvt(I32, F64)], TRAP),
+        ("i32.trunc_f64_s(-2^31)", I32, vec![f64c(-2147483648.0), cvt(I32, F64)], Some(0x8000_0000)),
+        ("i32.trunc_f32_s(2^31)", I32, vec![f32c(2147483648.0), cvt(I32, F32)], TRAP),
+        ("i32.trunc_f64_u(2^32)", U32, vec![f64c(4294967296.0), cvt(U32, F64)], TRAP),
+        ("i32.trunc_f64_u(2^32-0.5)", U32, vec![f64c(4294967295.5), cvt(U32, F64)], Some(0xffff_ffff)),
+        ("i32.trunc_f32_u(-0.9)", U32, vec![f32c(-0.9), cvt(U32, F32)], Some(0)),
+        ("i32.trunc_f64_u(-1)", U32, vec![f64c(-1.0), cvt(U32, F64)], TRAP),
+        ("i64.trunc_f64_s(2^63)", I64, vec![f64c(two63), cvt(I64, F64)], TRAP),
+        ("i64.trunc_f32_s(2^63)", I64, vec![f32c(two63 as f32), cvt(I64, F32)], TRAP),
+        ("i64.trunc_f64_s(-2^63)", I64, vec![f64c(-two63), cvt(I64, F64)], Some(1 << 63)),
+        ("i64.trunc_f64_u(2^64)", U64, vec![f64c(two64), cvt(U64, F64)], TRAP),
+        ("i64.trunc_f32_u(2^64)", U64, vec![f32c(two64 as f32), cvt(U64, F32)], TRAP),
+        ("i64.trunc_f64_u(-0.9)", U64, vec![f64c(-0.9), cvt(U64, F64)], Some(0)),
+        ("i32.trunc_f64_s(nan)", I32, vec![f64c(f64::NAN), cvt(I32, F64)], TRAP),
+        ("i64.trunc_f32_u(nan)", U64, vec![f32c(f32::NAN), cvt(U64, F32)], TRAP),
+        // Division and remainder.
+        ("i32.div_s(1, 0)", I32, vec![c(I32, 1), c(I32, 0), ibin(I32, IntBinop::Div(Sign::S))], TRAP),
+        ("i32.div_u(1, 0)", U32, vec![c(U32, 1), c(U32, 0), ibin(U32, IntBinop::Div(Sign::U))], TRAP),
+        ("i64.rem_s(1, 0)", I64, vec![c(I64, 1), c(I64, 0), ibin(I64, IntBinop::Rem(Sign::S))], TRAP),
+        ("i64.rem_u(1, 0)", U64, vec![c(U64, 1), c(U64, 0), ibin(U64, IntBinop::Rem(Sign::U))], TRAP),
+        ("i32.div_s(MIN, -1)", I32, vec![c(I32, 0x8000_0000), c(I32, 0xffff_ffff), ibin(I32, IntBinop::Div(Sign::S))], TRAP),
+        ("i64.div_s(MIN, -1)", I64, vec![c(I64, 1 << 63), c(I64, u64::MAX), ibin(I64, IntBinop::Div(Sign::S))], TRAP),
+        ("i32.rem_s(MIN, -1)", I32, vec![c(I32, 0x8000_0000), c(I32, 0xffff_ffff), ibin(I32, IntBinop::Rem(Sign::S))], Some(0)),
+        ("i64.add(MAX_u, 1)", I64, vec![c(I64, u64::MAX), c(I64, 1), ibin(I64, IntBinop::Add)], Some(0)),
+        // Shift and rotate counts are taken modulo the width.
+        ("i32.shl(1, 33)", I32, vec![c(I32, 1), c(I32, 33), ibin(I32, IntBinop::Shl)], Some(2)),
+        ("i32.shr_s(MIN, 63)", I32, vec![c(I32, 0x8000_0000), c(I32, 63), ibin(I32, IntBinop::Shr(Sign::S))], Some(0xffff_ffff)),
+        ("i32.shr_u(MIN, 32)", U32, vec![c(U32, 0x8000_0000), c(U32, 32), ibin(U32, IntBinop::Shr(Sign::U))], Some(0x8000_0000)),
+        ("i64.shl(1, 65)", I64, vec![c(I64, 1), c(I64, 65), ibin(I64, IntBinop::Shl)], Some(2)),
+        ("i64.rotl(1, 64)", I64, vec![c(I64, 1), c(I64, 64), ibin(I64, IntBinop::Rotl)], Some(1)),
+        ("i32.rotr(1, 33)", I32, vec![c(I32, 1), c(I32, 33), ibin(I32, IntBinop::Rotr)], Some(0x8000_0000)),
+        ("i32.clz(0)", I32, vec![c(I32, 0), Instr::Num(NumInstr::IntUnop(I32, IntUnop::Clz))], Some(32)),
+        ("i64.ctz(0)", I64, vec![c(I64, 0), Instr::Num(NumInstr::IntUnop(I64, IntUnop::Ctz))], Some(64)),
+        // Wrap, and extension with the sign of the source type.
+        ("i32.wrap_i64", I32, vec![c(I64, 0xffff_ffff_8000_0005), cvt(I32, I64)], Some(0x8000_0005)),
+        ("i64.extend_i32_s", I64, vec![c(I32, 0xffff_ffff), cvt(I64, I32)], Some(u64::MAX)),
+        ("u64.extend_i32_s", U64, vec![c(I32, 0x8000_0000), cvt(U64, I32)], Some(0xffff_ffff_8000_0000)),
+        ("i64.extend_u32", I64, vec![c(U32, 0xffff_ffff), cvt(I64, U32)], Some(0xffff_ffff)),
+        ("u64.extend_u32", U64, vec![c(U32, 0x8000_0000), cvt(U64, U32)], Some(0x8000_0000)),
+        // Same-width signedness changes keep the bits.
+        ("u32.convert_i32", U32, vec![c(I32, 0xffff_ffff), cvt(U32, I32)], Some(0xffff_ffff)),
+        ("i32.convert_u32", I32, vec![c(U32, 0x8000_0000), cvt(I32, U32)], Some(0x8000_0000)),
+        // Any NaN result is the positive canonical NaN.
+        ("f32.add(nan, nan)", F32, vec![c(F32, 0x7fa0_0001), c(F32, 0xffc0_0002), fbin(F32, FloatBinop::Add)], Some(0x7fc0_0000)),
+        ("f32.mul(nan, nan)", F32, vec![c(F32, 0xffc0_0002), c(F32, 0x7fa0_0001), fbin(F32, FloatBinop::Mul)], Some(0x7fc0_0000)),
+        ("f64.add(nan, nan)", F64, vec![c(F64, 0x7ff4_0000_0000_0001), c(F64, 0xfff8_0000_0000_0002), fbin(F64, FloatBinop::Add)], Some(0x7ff8_0000_0000_0000)),
+        ("f64.mul(nan, nan)", F64, vec![c(F64, 0xfff8_0000_0000_0002), c(F64, 0x7ff4_0000_0000_0001), fbin(F64, FloatBinop::Mul)], Some(0x7ff8_0000_0000_0000)),
+        // Floats: round once, sign operators are bitwise, `min` of a NaN
+        // is canonical, `nearest` keeps the sign of zero.
+        ("f32.convert_i64_u", F32, vec![c(U64, (1 << 53) + (1 << 29) + 1), cvt(F32, U64)], Some(0x5a00_0001)),
+        ("f32.abs(snan)", F32, vec![c(F32, 0xffa0_0000), Instr::Num(NumInstr::FloatUnop(F32, FloatUnop::Abs))], Some(0x7fa0_0000)),
+        ("f32.min(nan, 1)", F32, vec![c(F32, 0x7fc0_0000), f32c(1.0), fbin(F32, FloatBinop::Min)], Some(0x7fc0_0000)),
+        ("f32.nearest(-0.5)", F32, vec![f32c(-0.5), Instr::Num(NumInstr::FloatUnop(F32, FloatUnop::Nearest))], Some(0x8000_0000)),
+    ];
+    let main = |nt: NumType, body: Vec<Instr>| Module {
         funcs: vec![Func::Defined {
             exports: vec!["main".into()],
-            ty: FunType::mono(vec![], vec![Pretype::Num(NumType::F32).unr()]),
+            ty: FunType::mono(vec![], vec![Pretype::Num(nt).unr()]),
             locals: vec![],
             body,
         }],
         ..Module::default()
     };
-    let f32c = |bits: u32| Instr::Val(Value::Num(NumType::F32, bits.into()));
-    let probes = [
-        (
-            "f32.convert_i64_u",
-            vec![
-                Instr::Val(Value::Num(NumType::U64, (1 << 53) + (1 << 29) + 1)),
-                Instr::Num(NumInstr::Convert(NumType::F32, NumType::U64)),
-            ],
-            0x5a00_0001, // 2^53 + 2^30
-        ),
-        (
-            "f32.abs_snan",
-            vec![
-                f32c(0xffa0_0000),
-                Instr::Num(NumInstr::FloatUnop(NumType::F32, FloatUnop::Abs)),
-            ],
-            0x7fa0_0000,
-        ),
-        (
-            "f32.min_nan",
-            vec![
-                f32c(0x7fc0_0000),
-                f32c(1f32.to_bits()),
-                Instr::Num(NumInstr::FloatBinop(NumType::F32, FloatBinop::Min)),
-            ],
-            0x7fc0_0000,
-        ),
-        (
-            "f32.nearest_neg_half",
-            vec![
-                f32c((-0.5f32).to_bits()),
-                Instr::Num(NumInstr::FloatUnop(NumType::F32, FloatUnop::Nearest)),
-            ],
-            0x8000_0000,
-        ),
-    ];
-    for (probe, body, want) in probes {
-        let out = Engine::new()
-            .instantiate(&ModuleSet::new().richwasm("m", f32_main(body)))
-            .unwrap()
-            .invoke_entry()
-            .unwrap_or_else(|e| panic!("{probe}: {e}"));
-        let richwasm = &out.richwasm.as_ref().expect("interpreter ran").values;
-        assert_eq!(richwasm, &[Value::Num(NumType::F32, want)], "{probe}");
-        match out.wasm.as_deref() {
-            Some([Val::F32(x)]) => assert_eq!(u64::from(x.to_bits()), want, "{probe}"),
-            other => panic!("{probe}: Wasm returned {other:?}"),
+    let wasm_bits = |v: &Val| match *v {
+        Val::I32(x) => u64::from(x),
+        Val::I64(x) => x,
+        Val::F32(x) => u64::from(x.to_bits()),
+        Val::F64(x) => x.to_bits(),
+    };
+    let mut wrong = Vec::new();
+    for exec in [Exec::Interp, Exec::Wasm, Exec::Differential] {
+        let engine = Engine::with_config(EngineConfig::new().exec(exec));
+        for (row, nt, body, want) in &rows {
+            let set = ModuleSet::new().richwasm("m", main(*nt, body.clone()));
+            let got = match engine.instantiate(&set).unwrap().invoke_entry() {
+                Err(e) => match e.kind {
+                    PipelineErrorKind::Runtime(RuntimeError::Trap { .. })
+                    | PipelineErrorKind::Wasm(_) => None,
+                    _ => Some(Err(e.to_string())),
+                },
+                Ok(out) => {
+                    let interp = out.richwasm.map(|ir| match ir.values[..] {
+                        [Value::Num(got_nt, bits)] if got_nt == *nt => Ok(bits),
+                        _ => Err(format!("{:?}", ir.values)),
+                    });
+                    let wasm = out.wasm.map(|wr| match wr[..] {
+                        [v] => Ok(wasm_bits(&v)),
+                        _ => Err(format!("{wr:?}")),
+                    });
+                    // Each mode runs exactly its backends; a value both
+                    // ran must agree (differential mode checks that too).
+                    match (exec, interp, wasm) {
+                        (Exec::Interp, Some(r), None) | (Exec::Wasm, None, Some(r)) => Some(r),
+                        (Exec::Differential, Some(i), Some(w)) if i == w => Some(i),
+                        (_, i, w) => Some(Err(format!("interp {i:?}, wasm {w:?}"))),
+                    }
+                }
+            };
+            if got != want.map(Ok) {
+                wrong.push(format!(
+                    "{row} under {exec:?}: want {want:x?}, got {got:x?}"
+                ));
+            }
         }
     }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]
@@ -514,7 +581,7 @@ fn gc_under_pressure_in_counter_scenario() {
     // Run the Fig. 9 counter with the collector firing every few steps:
     // results unchanged, and dead option cells get reclaimed. Interp-only:
     // the GC is a RichWasm-interpreter feature.
-    let engine = Engine::with_config(EngineConfig::new().interp_only().auto_gc_every(7));
+    let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp).auto_gc_every(7));
     let mut inst = engine
         .instantiate(
             &ModuleSet::new()

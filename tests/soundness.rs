@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use richwasm::error::RuntimeError;
 use richwasm_ml::{MlBinop, MlExpr, MlFun, MlModule, MlTy};
-use richwasm_repro::engine::{Engine, EngineConfig, ModuleSet, PipelineErrorKind, Stage};
+use richwasm_repro::engine::{Engine, EngineConfig, Exec, ModuleSet, PipelineErrorKind, Stage};
 
 /// A generator for *well-typed* ML expressions of type `Int`, with `vars`
 /// integer variables in scope (named v0..v{vars-1}).
@@ -138,7 +138,7 @@ proptest! {
         // Frontend + typecheck: the ML compiler accepts its own
         // well-typed output, and compilation is type preserving (§5) —
         // a `Typecheck`-stage failure here would falsify preservation.
-        let engine = Engine::with_config(EngineConfig::new().interp_only());
+        let engine = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
         let mut prog = engine
             .instantiate(&ModuleSet::new().ml("m", module_of(body)))
             .expect("compilation must be type preserving");
@@ -186,13 +186,13 @@ proptest! {
     fn gc_is_transparent(body in arb_int_expr(3, 0), every in 1u64..40) {
         let set = ModuleSet::new().ml("m", module_of(body));
         // Reference run, no GC.
-        let calm = Engine::with_config(EngineConfig::new().interp_only());
+        let calm = Engine::with_config(EngineConfig::new().exec(Exec::Interp));
         let r1 = calm.instantiate(&set).expect("no-GC build")
             .invoke_entry().expect("no-GC run");
         // Aggressive-GC run (a different config, hence a different engine:
         // the config is part of the artifact's identity).
         let pressured = Engine::with_config(
-            EngineConfig::new().interp_only().auto_gc_every(every));
+            EngineConfig::new().exec(Exec::Interp).auto_gc_every(every));
         let r2 = pressured.instantiate(&set).expect("GC build")
             .invoke_entry().expect("GC run must not fail");
         let v1 = r1.richwasm.expect("interp ran").values;
