@@ -17,7 +17,7 @@
 //!   differential mode (both backends + comparison) against the raw
 //!   interpreter cost measured in E2.
 //!
-//! One acceptance gate:
+//! Two acceptance gates:
 //!
 //! * `interp_over_wasm_compile` — a Wasm-bound compile type checks each
 //!   function body once, inside lowering, so it costs at most twice an
@@ -25,13 +25,24 @@
 //!   nothing): t(`Exec::Interp`) / t(`Exec::Wasm`) ≥ 0.5 for a cold
 //!   compile of `ml_tower(6)` with analysis off, each `t` the median of
 //!   9 runs. On a shared 2-vCPU container, checking once scores
-//!   0.83–0.99. It scored 0.50–0.68 while lowering gave every indirect
-//!   call one arm per table entry instead of one per callee shape, and
-//!   an engine that checked every body in its `Typecheck` stage and
-//!   again while lowering scored about 0.37 under that lowering.
+//!   0.58–0.65 now that the checker is linear; it read 0.83–0.99 while the
+//!   checker rewrote its whole state at every unpack (checking was then
+//!   most of both compiles). It scored 0.50–0.68 while lowering gave
+//!   every indirect call one arm per table entry instead of one per
+//!   callee shape, and an engine that checked every body in its
+//!   `Typecheck` stage and again while lowering scored about 0.37 under
+//!   that lowering.
+//! * `check_linear_in_depth` — the instruction checker runs in time
+//!   linear in program size: `ml_tower(d + 1)` is twice the size of
+//!   `ml_tower(d)`, so 2·t(`check_module(ml_tower(6))`) /
+//!   t(`check_module(ml_tower(7))`) ≥ 0.75, each `t` the median of 9
+//!   runs. A linear checker scores about 1.0 (0.88–1.03 on a shared
+//!   2-vCPU container); one that shifted every stored type at each
+//!   `mem.unpack`/`exist.unpack` scored 0.54–0.66.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm::syntax::Value;
+use richwasm::typecheck::check_module;
 use richwasm_bench::median_of;
 use richwasm_bench::workloads::{
     counter_client, counter_library, ml_tower, stash_client, stash_module,
@@ -98,6 +109,18 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
+
+    let check_ns = |depth: u32| {
+        let m = richwasm_ml::compile_module(&ml_tower(depth)).unwrap();
+        median_of(9, || check_module(&m).unwrap()).as_nanos().max(1) as f64
+    };
+    let (t6, t7) = (check_ns(6), check_ns(7));
+    println!(
+        "e6: check_module: ml_tower(6) {:.2}ms, ml_tower(7) {:.2}ms",
+        t6 / 1e6,
+        t7 / 1e6
+    );
+    criterion::acceptance("e6_pipeline/check_linear_in_depth", 2.0 * t6 / t7, 0.75);
 
     // A fresh engine per run keeps every compile cold.
     let tower = ModuleSet::new().ml("tower", ml_tower(6));

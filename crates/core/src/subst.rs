@@ -73,6 +73,35 @@ impl Depth {
     }
 }
 
+impl std::ops::Add for Depth {
+    type Output = Depth;
+
+    fn add(self, o: Depth) -> Depth {
+        Depth {
+            loc: self.loc + o.loc,
+            size: self.size + o.size,
+            qual: self.qual + o.qual,
+            ty: self.ty + o.ty,
+        }
+    }
+}
+
+/// The binders crossed from an outer depth to an inner one: `inner -
+/// outer` is the shift that carries a type from `outer` to `inner`
+/// coordinates. Panics if `outer` is deeper than `inner` in any kind.
+impl std::ops::Sub for Depth {
+    type Output = Depth;
+
+    fn sub(self, o: Depth) -> Depth {
+        Depth {
+            loc: self.loc - o.loc,
+            size: self.size - o.size,
+            qual: self.qual - o.qual,
+            ty: self.ty - o.ty,
+        }
+    }
+}
+
 /// A simultaneous substitution: de Bruijn index `i` of each kind is
 /// replaced by the `i`-th entry (0 = **innermost** binder); indices beyond
 /// the replacement list are shifted down by its length.

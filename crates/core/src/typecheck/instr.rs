@@ -1,12 +1,26 @@
 //! The algorithmic instruction checker (paper Fig. 7).
+//!
+//! Two pieces of state keep the cost of a binder, block or branch
+//! proportional to what its body touches (DESIGN.md §15):
+//!
+//! * **Depth stamps.** Each stored type carries the binder depth (the
+//!   `mem.unpack`/`exist.unpack` binders crossed) at which it was stored:
+//!   a slot its own, a frame one for all its types. A read shifts it by
+//!   the current depth minus its stamp, so entering an unpack rewrites
+//!   nothing.
+//! * **An undo-logged local environment.** One vector of slots plus a
+//!   log of the slots each write replaced. A block records the log's
+//!   length (its mark); its post-state is "the locals at the mark plus its
+//!   declared effects", so a branch or block end compares only the slots
+//!   written since the mark or named by an effect, and leaving a block
+//!   (or starting an `if`/`variant.case` arm) rewinds the log to the mark.
 
 use crate::env::{KindCtx, ModuleEnv, TypeBound};
 use crate::error::TypeError;
 use crate::sizing::size_of_type;
 use crate::solver::{qual_leq, size_leq};
 use crate::subst::{
-    generalize_loc, instantiate_arrow, shift_type, subst_type, unfold_rec, unshift_type, Depth,
-    Kind, SubstEnv,
+    generalize_loc, instantiate_arrow, shift_type, subst_type, unfold_rec, Depth, Kind, SubstEnv,
 };
 use crate::syntax::instr::{Block, LocalEffect, NumInstr};
 use crate::syntax::{
@@ -15,35 +29,53 @@ use crate::syntax::{
 use crate::typecheck::{check_instantiation, push_telescope, synthesize_const};
 use crate::wf::{no_caps_type, wf_heaptype, wf_loc, wf_pretype_at, wf_qual, wf_size, wf_type};
 
-/// A local slot: its current type and its fixed size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotTy {
+/// A local slot: its current type, the depth that type is stored at, and
+/// its fixed size.
+struct Slot {
     /// The slot's current type (changes under strong updates).
-    pub ty: Type,
+    ty: Type,
+    /// The binder depth `ty` is stored at.
+    at: Depth,
     /// The slot's fixed size in bits.
-    pub size: Size,
+    size: Size,
+}
+
+/// An undo-log entry: what slot `idx` held before one write.
+struct Undo {
+    idx: u32,
+    ty: Type,
+    at: Depth,
 }
 
 /// What a branch to a label requires of the local environment.
-#[derive(Debug, Clone)]
+#[derive(Clone, Copy)]
 enum LocalsReq {
-    /// Locals must exactly match this environment (inner labels).
-    Exact(Vec<SlotTy>),
+    /// Locals must equal the frame's post-state: the locals at its mark
+    /// with its declared effects applied (inner labels).
+    Exact,
     /// All locals must be unrestricted (the function's return label).
     AllUnr,
 }
 
 /// A control frame: one entry per enclosing label.
-#[derive(Debug, Clone)]
-struct Frame {
+struct Frame<'a> {
+    /// The binder depth every type of this frame is stored at.
+    at: Depth,
     /// Types transferred by a `br` targeting this label.
     label_tys: Vec<Type>,
     /// Locals required at a `br` targeting this label.
     label_locals: LocalsReq,
     /// Types required when falling off the end of the body.
     end_tys: Vec<Type>,
-    /// Locals required at the end of the body (`None` for loops).
-    end_locals: Option<Vec<SlotTy>>,
+    /// Whether the end of the body requires the post-state locals
+    /// (`false` for loops and the function body).
+    end_locals: bool,
+    /// The undo log's length when the frame was entered.
+    mark: usize,
+    /// The frame's declared local effects, stored at depth `effects_at`
+    /// (the depth of the instruction, outside an unpack's binder).
+    effects: &'a [LocalEffect],
+    effects_at: Depth,
     /// The operand stack inside this frame.
     stack: Vec<Type>,
     /// Values conceptually parked *below* this frame on the enclosing
@@ -55,6 +87,37 @@ struct Frame {
     /// Whether the remainder of the frame is unreachable (polymorphic
     /// stack).
     unreachable: bool,
+}
+
+impl<'a> Frame<'a> {
+    /// A frame at depth `at` whose locals requirement is `Exact` with
+    /// `effects`, declared at depth `effects_at`, from log position `mark`.
+    #[allow(clippy::too_many_arguments)]
+    fn exact(
+        at: Depth,
+        label_tys: Vec<Type>,
+        end_tys: Vec<Type>,
+        end_locals: bool,
+        mark: usize,
+        effects: &'a [LocalEffect],
+        effects_at: Depth,
+        stack: Vec<Type>,
+        limbo: Vec<Type>,
+    ) -> Self {
+        Frame {
+            at,
+            label_tys,
+            label_locals: LocalsReq::Exact,
+            end_tys,
+            end_locals,
+            mark,
+            effects,
+            effects_at,
+            stack,
+            limbo,
+            unreachable: false,
+        }
+    }
 }
 
 /// Per-instruction type information recorded during checking, consumed by
@@ -90,31 +153,36 @@ impl Default for InstrInfo {
 }
 
 /// The instruction checker. Holds the module environment, the kind
-/// context, the mutable local environment, and the control-frame stack.
-pub struct Checker<'a> {
+/// context, the local environment with its undo log, and the
+/// control-frame stack (whose root frame carries the return types).
+struct Checker<'a> {
     module: &'a ModuleEnv,
-    /// The kind-variable context (public so callers can pre-load a
-    /// telescope).
-    pub ctx: KindCtx,
-    locals: Vec<SlotTy>,
-    frames: Vec<Frame>,
-    ret: Vec<Type>,
+    ctx: KindCtx,
+    /// The binder depth of the instruction being checked.
+    depth: Depth,
+    locals: Vec<Slot>,
+    log: Vec<Undo>,
+    frames: Vec<Frame<'a>>,
     /// Pre-order per-instruction trace (always recorded; cheap).
     trace: Vec<InstrInfo>,
     cur_info: InstrInfo,
 }
 
 impl<'a> Checker<'a> {
-    /// Creates a checker for one instruction sequence with the given
-    /// locals and return types. The root frame's label behaves like the
+    /// Creates a checker for one function body with the given locals and
+    /// return types. The root frame's label behaves like the
     /// function-exit label: branching to it transfers the return types and
     /// requires all locals unrestricted.
-    pub fn new(module: &'a ModuleEnv, ctx: KindCtx, locals: Vec<SlotTy>, ret: Vec<Type>) -> Self {
+    fn new(module: &'a ModuleEnv, ctx: KindCtx, locals: Vec<Slot>, ret: Vec<Type>) -> Self {
         let root = Frame {
+            at: Depth::default(),
             label_tys: ret.clone(),
             label_locals: LocalsReq::AllUnr,
-            end_tys: ret.clone(),
-            end_locals: None,
+            end_tys: ret,
+            end_locals: false,
+            mark: 0,
+            effects: &[],
+            effects_at: Depth::default(),
             stack: Vec::new(),
             limbo: Vec::new(),
             unreachable: false,
@@ -122,29 +190,37 @@ impl<'a> Checker<'a> {
         Checker {
             module,
             ctx,
+            depth: Depth::default(),
             locals,
+            log: Vec::new(),
             frames: vec![root],
-            ret,
             trace: Vec::new(),
             cur_info: InstrInfo::default(),
         }
     }
 
-    /// The recorded per-instruction trace (pre-order).
-    pub fn into_trace(self) -> Vec<InstrInfo> {
-        self.trace
+    // ------------------------------------------------------------------
+    // Depth-stamped reads
+    // ------------------------------------------------------------------
+
+    /// `t`, stored at depth `at`, in the current coordinates.
+    fn read(&self, t: &Type, at: Depth) -> Type {
+        if at == self.depth {
+            t.clone()
+        } else {
+            shift_type(t, self.depth - at)
+        }
     }
 
-    /// Current local slot types (for tests and diagnostics).
-    pub fn locals(&self) -> &[SlotTy] {
-        &self.locals
+    fn read_all(&self, ts: &[Type], at: Depth) -> Vec<Type> {
+        ts.iter().map(|t| self.read(t, at)).collect()
     }
 
     // ------------------------------------------------------------------
     // Stack primitives
     // ------------------------------------------------------------------
 
-    fn cur(&mut self) -> &mut Frame {
+    fn cur(&mut self) -> &mut Frame<'a> {
         self.frames
             .last_mut()
             .expect("checker always has a root frame")
@@ -190,167 +266,162 @@ impl<'a> Checker<'a> {
     }
 
     fn drop_check(&self, t: &Type, ctxt: &str) -> Result<(), TypeError> {
+        self.drop_check_at(t, self.depth, ctxt)
+    }
+
+    /// [`Self::drop_check`] for a type stored at depth `at`.
+    fn drop_check_at(&self, t: &Type, at: Depth, ctxt: &str) -> Result<(), TypeError> {
+        // Qualifiers mention no location or pretype variable, so no shift
+        // is needed to decide; only the message shows the type.
         if qual_leq(&self.ctx, t.qual, Qual::Unr) {
             Ok(())
         } else {
             Err(TypeError::LinearityViolation {
-                context: format!("{ctxt} would drop linear value {t}"),
+                context: format!("{ctxt} would drop linear value {}", self.read(t, at)),
             })
         }
     }
 
-    fn check_locals_req(&self, req: &LocalsReq, ctxt: &str) -> Result<(), TypeError> {
-        match req {
-            LocalsReq::Exact(want) => {
-                if self.locals.len() != want.len() {
-                    return Err(TypeError::Other(format!(
-                        "{ctxt}: local count mismatch ({} vs {})",
-                        self.locals.len(),
-                        want.len()
-                    )));
-                }
-                for (i, (have, want)) in self.locals.iter().zip(want).enumerate() {
-                    if have.ty != want.ty {
-                        return Err(TypeError::Mismatch {
-                            expected: want.ty.to_string(),
-                            found: have.ty.to_string(),
-                            context: format!("{ctxt}: local {i}"),
-                        });
-                    }
-                }
-                Ok(())
-            }
-            LocalsReq::AllUnr => {
-                for (i, s) in self.locals.iter().enumerate() {
-                    if !qual_leq(&self.ctx, s.ty.qual, Qual::Unr) {
-                        return Err(TypeError::LinearityViolation {
-                            context: format!("{ctxt}: local {i} still holds linear {}", s.ty),
-                        });
-                    }
-                }
-                Ok(())
+    fn check_locals_req(&self, frame: usize, ctxt: &str) -> Result<(), TypeError> {
+        match self.frames[frame].label_locals {
+            LocalsReq::Exact => self.check_exact(frame, ctxt),
+            LocalsReq::AllUnr => self.check_all_unr(ctxt),
+        }
+    }
+
+    /// Checks that the locals equal `frame`'s post-state. Only a slot
+    /// written since the frame's mark or named by one of its effects can
+    /// differ from it, so only those are compared, lowest index first (the
+    /// order a scan of every slot reports in). A slot's wanted type is its
+    /// last effect's, else the type it held at the mark: the one the first
+    /// log entry for it since the mark saved.
+    fn check_exact(&self, frame: usize, ctxt: &str) -> Result<(), TypeError> {
+        let f = &self.frames[frame];
+        let mut want: Vec<(u32, &Type, Depth)> = f
+            .effects
+            .iter()
+            .rev()
+            .map(|e| (e.idx, &e.ty, f.effects_at))
+            .chain(self.log[f.mark..].iter().map(|u| (u.idx, &u.ty, u.at)))
+            .collect();
+        want.sort_by_key(|w| w.0); // stable: keeps the precedence above
+        want.dedup_by_key(|w| w.0);
+        for (i, ty, at) in want {
+            let have = &self.locals[i as usize];
+            if !same_type(&have.ty, have.at, ty, at) {
+                return Err(TypeError::Mismatch {
+                    expected: self.read(ty, at).to_string(),
+                    found: self.read(&have.ty, have.at).to_string(),
+                    context: format!("{ctxt}: local {i}"),
+                });
             }
         }
+        Ok(())
+    }
+
+    fn check_all_unr(&self, ctxt: &str) -> Result<(), TypeError> {
+        for (i, s) in self.locals.iter().enumerate() {
+            if !qual_leq(&self.ctx, s.ty.qual, Qual::Unr) {
+                return Err(TypeError::LinearityViolation {
+                    context: format!(
+                        "{ctxt}: local {i} still holds linear {}",
+                        self.read(&s.ty, s.at)
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The types a branch to relative label `i` transfers.
+    fn label_tys(&self, i: u32) -> Result<Vec<Type>, TypeError> {
+        let f = self
+            .frames
+            .len()
+            .checked_sub(1 + i as usize)
+            .map(|k| &self.frames[k])
+            .ok_or(TypeError::UnboundVar {
+                kind: "label",
+                index: i,
+            })?;
+        Ok(self.read_all(&f.label_tys, f.at))
     }
 
     /// Validates a branch with relative depth `i`; returns the transferred
     /// types (already popped). `consume` distinguishes `br` (true) from
     /// `br_if` (false, transferred values stay).
     fn check_br(&mut self, i: u32, consume: bool, ctxt: &str) -> Result<(), TypeError> {
+        let label_tys = self.label_tys(i)?;
         let n = self.frames.len();
-        if (i as usize) >= n {
-            return Err(TypeError::UnboundVar {
-                kind: "label",
-                index: i,
-            });
-        }
         let target = n - 1 - i as usize;
-        let label_tys = self.frames[target].label_tys.clone();
         self.pop_many_expect(&label_tys, ctxt)?;
         // Everything remaining inside the targeted label is dropped: the
         // stacks of all frames from the target inward, and the limbo
         // (parked) values of frames strictly inside the target.
-        for f in target..n {
-            let (stack, limbo, dead) = {
-                let fr = &self.frames[f];
-                (fr.stack.clone(), fr.limbo.clone(), fr.unreachable)
-            };
+        for (f, fr) in self.frames.iter().enumerate().skip(target) {
             // In dead code the stack is polymorphic; no real values exist.
-            if dead && f == n - 1 {
+            if fr.unreachable && f == n - 1 {
                 continue;
             }
-            for t in &stack {
-                self.drop_check(t, ctxt)?;
+            for t in &fr.stack {
+                self.drop_check_at(t, fr.at, ctxt)?;
             }
             if f > target {
-                for t in &limbo {
-                    self.drop_check(t, ctxt)?;
+                for t in &fr.limbo {
+                    self.drop_check_at(t, fr.at, ctxt)?;
                 }
             }
         }
         // Locals must agree with the label's view of `L`.
-        let req = self.frames[target].label_locals.clone();
-        self.check_locals_req(&req, ctxt)?;
+        self.check_locals_req(target, ctxt)?;
         if consume {
             let f = self.cur();
             f.unreachable = true;
             f.stack.clear();
         } else {
             // br_if: the transferred values remain on the stack.
-            for t in label_tys {
-                self.cur().stack.push(t);
-            }
+            self.cur().stack.extend(label_tys);
         }
         Ok(())
     }
 
     // ------------------------------------------------------------------
-    // Binder-crossing: shift every tracked type when entering a
-    // `mem.unpack`/`exist.unpack` body, and unshift (with escape check)
-    // when leaving.
+    // Local environment
     // ------------------------------------------------------------------
 
-    fn map_all_types(
-        &mut self,
-        f: &mut dyn FnMut(&Type) -> Result<Type, TypeError>,
-    ) -> Result<(), TypeError> {
-        for s in &mut self.locals {
-            s.ty = f(&s.ty)?;
-        }
-        for t in &mut self.ret {
-            *t = f(t)?;
-        }
-        for fr in &mut self.frames {
-            for t in fr
-                .label_tys
-                .iter_mut()
-                .chain(fr.end_tys.iter_mut())
-                .chain(fr.stack.iter_mut())
-                .chain(fr.limbo.iter_mut())
-            {
-                *t = f(t)?;
-            }
-            if let LocalsReq::Exact(ls) = &mut fr.label_locals {
-                for s in ls {
-                    s.ty = f(&s.ty)?;
-                }
-            }
-            if let Some(ls) = &mut fr.end_locals {
-                for s in ls {
-                    s.ty = f(&s.ty)?;
-                }
-            }
-        }
-        Ok(())
+    /// Stores `ty` (in current coordinates) in slot `i`, logging the old
+    /// contents.
+    fn write_local(&mut self, i: u32, ty: Type) {
+        let slot = &mut self.locals[i as usize];
+        let old = Undo {
+            idx: i,
+            ty: std::mem::replace(&mut slot.ty, ty),
+            at: std::mem::replace(&mut slot.at, self.depth),
+        };
+        self.log.push(old);
     }
 
-    fn shift_all(&mut self, kind: Kind) {
-        let by = Depth::one(kind);
-        self.map_all_types(&mut |t| Ok(shift_type(t, by)))
-            .expect("shift cannot fail");
+    /// Restores the locals to what they were when the log had `mark`
+    /// entries.
+    fn rewind(&mut self, mark: usize) {
+        for u in self.log.drain(mark..).rev() {
+            let slot = &mut self.locals[u.idx as usize];
+            slot.ty = u.ty;
+            slot.at = u.at;
+        }
     }
 
-    fn unshift_all(&mut self, kind: Kind) -> Result<(), TypeError> {
-        self.map_all_types(&mut |t| {
-            unshift_type(t, kind).map_err(|_| TypeError::IllFormed {
-                reason: format!("{kind:?} variable escapes its unpack scope in {t}"),
-            })
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Local effects
-    // ------------------------------------------------------------------
-
-    /// Applies declared local effects `(i, τ)*` to a copy of the current
-    /// locals, validating indices, well-formedness, and slot fit.
-    fn apply_effects(&mut self, effects: &[LocalEffect]) -> Result<Vec<SlotTy>, TypeError> {
-        let mut out = self.locals.clone();
+    /// Validates declared local effects `(i, τ)*`: indices,
+    /// well-formedness, and slot fit.
+    fn check_effects(&mut self, effects: &[LocalEffect]) -> Result<(), TypeError> {
         for e in effects {
-            let slot = out.get_mut(e.idx as usize).ok_or(TypeError::UnboundVar {
-                kind: "local",
-                index: e.idx,
-            })?;
+            let slot = self
+                .locals
+                .get(e.idx as usize)
+                .ok_or(TypeError::UnboundVar {
+                    kind: "local",
+                    index: e.idx,
+                })?;
             let sz = slot.size.clone();
             wf_type(&mut self.ctx, &e.ty)?;
             let tsz = size_of_type(&self.ctx, &e.ty)?;
@@ -361,59 +432,52 @@ impl<'a> Checker<'a> {
                     context: format!("local effect on slot {}", e.idx),
                 });
             }
-            slot.ty = e.ty.clone();
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Leaves a block entered at log position `mark`: the locals become
+    /// its post-state, the locals at `mark` with (validated) `effects`
+    /// applied.
+    fn leave_block(&mut self, mark: usize, effects: &[LocalEffect]) {
+        self.rewind(mark);
+        for e in effects {
+            self.write_local(e.idx, e.ty.clone());
+        }
     }
 
     // ------------------------------------------------------------------
     // Frame entry/exit for block-like instructions
     // ------------------------------------------------------------------
 
-    /// Runs `body` in a fresh frame. All type arguments must be given in
-    /// the coordinates *inside* the frame (i.e. already shifted if
-    /// `binder` is set; the caller pushes the kind binder onto `ctx`).
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `body` in `frame`, whose types must be in the coordinates
+    /// *inside* it (the caller enters any binder first).
     fn run_body(
         &mut self,
-        body: &[Instr],
-        entry: Vec<Type>,
-        label_tys: Vec<Type>,
-        label_locals: LocalsReq,
-        end_tys: Vec<Type>,
-        end_locals: Option<Vec<SlotTy>>,
-        limbo: Vec<Type>,
+        body: &'a [Instr],
+        frame: Frame<'a>,
         ctxt: &str,
     ) -> Result<(), TypeError> {
-        self.frames.push(Frame {
-            label_tys,
-            label_locals,
-            end_tys,
-            end_locals,
-            stack: entry,
-            limbo,
-            unreachable: false,
-        });
-        let result = (|| {
-            self.check_seq(body)?;
-            // End-of-body: the stack must deliver exactly the declared
-            // results, and locals must match the declared post-state
-            // (both read back from the frame, which owns them now).
-            let end_tys = self.cur().end_tys.clone();
-            self.pop_many_expect(&end_tys, ctxt)?;
-            let leftover = !self.cur().stack.is_empty();
-            if leftover {
-                return Err(TypeError::BlockResultMismatch {
-                    context: format!("{ctxt}: values left on stack at end of block"),
-                });
-            }
-            if let Some(want) = self.cur().end_locals.clone() {
-                self.check_locals_req(&LocalsReq::Exact(want), ctxt)?;
-            }
-            Ok(())
-        })();
+        self.frames.push(frame);
+        let result = self.check_seq(body).and_then(|()| self.end_body(ctxt));
         self.frames.pop();
         result
+    }
+
+    /// End of a body: the stack must deliver exactly the declared results,
+    /// and locals must match the declared post-state.
+    fn end_body(&mut self, ctxt: &str) -> Result<(), TypeError> {
+        let end_tys = std::mem::take(&mut self.cur().end_tys);
+        self.pop_many_expect(&end_tys, ctxt)?;
+        if !self.cur().stack.is_empty() {
+            return Err(TypeError::BlockResultMismatch {
+                context: format!("{ctxt}: values left on stack at end of block"),
+            });
+        }
+        if self.cur().end_locals {
+            self.check_exact(self.frames.len() - 1, ctxt)?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -421,7 +485,7 @@ impl<'a> Checker<'a> {
     // ------------------------------------------------------------------
 
     /// Checks a sequence of instructions in the current frame.
-    pub fn check_seq(&mut self, es: &[Instr]) -> Result<(), TypeError> {
+    fn check_seq(&mut self, es: &'a [Instr]) -> Result<(), TypeError> {
         for e in es {
             self.check_instr(e)?;
         }
@@ -429,7 +493,7 @@ impl<'a> Checker<'a> {
     }
 
     /// Checks one instruction.
-    pub fn check_instr(&mut self, e: &Instr) -> Result<(), TypeError> {
+    fn check_instr(&mut self, e: &'a Instr) -> Result<(), TypeError> {
         // Reserve this instruction's trace slot to preserve pre-order, and
         // save the enclosing instruction's partial record (nested bodies
         // re-enter this function).
@@ -446,7 +510,7 @@ impl<'a> Checker<'a> {
         r
     }
 
-    fn check_instr_inner(&mut self, e: &Instr) -> Result<(), TypeError> {
+    fn check_instr_inner(&mut self, e: &'a Instr) -> Result<(), TypeError> {
         match e {
             Instr::Val(v) => {
                 let t = synthesize_const(v)?;
@@ -501,27 +565,9 @@ impl<'a> Checker<'a> {
                 // All targets must transfer the same types; validate each
                 // (the last validation consumes).
                 let all: Vec<u32> = targets.iter().copied().chain([*default]).collect();
-                let first_tys = {
-                    let n = self.frames.len();
-                    let t0 = *all.first().expect("br_table has a default");
-                    if (t0 as usize) >= n {
-                        return Err(TypeError::UnboundVar {
-                            kind: "label",
-                            index: t0,
-                        });
-                    }
-                    self.frames[n - 1 - t0 as usize].label_tys.clone()
-                };
+                let first_tys = self.label_tys(*all.first().expect("br_table has a default"))?;
                 for i in &all {
-                    let n = self.frames.len();
-                    if (*i as usize) >= n {
-                        return Err(TypeError::UnboundVar {
-                            kind: "label",
-                            index: *i,
-                        });
-                    }
-                    let tys = &self.frames[n - 1 - *i as usize].label_tys;
-                    if *tys != first_tys {
+                    if self.label_tys(*i)? != first_tys {
                         return Err(TypeError::Other(format!(
                             "br_table targets disagree on label types (label {i})"
                         )));
@@ -536,36 +582,28 @@ impl<'a> Checker<'a> {
                 Ok(())
             }
             Instr::Return => {
-                let ret = self.ret.clone();
+                let ret = self.read_all(&self.frames[0].label_tys, Depth::default());
                 self.pop_many_expect(&ret, "return")?;
                 let n = self.frames.len();
-                for f in 0..n {
-                    let (stack, limbo, dead) = {
-                        let fr = &self.frames[f];
-                        (fr.stack.clone(), fr.limbo.clone(), fr.unreachable)
-                    };
-                    if dead && f == n - 1 {
+                for (f, fr) in self.frames.iter().enumerate() {
+                    if fr.unreachable && f == n - 1 {
                         continue;
                     }
-                    for t in stack.iter().chain(&limbo) {
-                        self.drop_check(t, "return")?;
+                    for t in fr.stack.iter().chain(&fr.limbo) {
+                        self.drop_check_at(t, fr.at, "return")?;
                     }
                 }
-                self.check_locals_req(&LocalsReq::AllUnr, "return")?;
+                self.check_all_unr("return")?;
                 let f = self.cur();
                 f.unreachable = true;
                 f.stack.clear();
                 Ok(())
             }
             Instr::GetLocal(i, q) => {
-                let slot = self
-                    .locals
-                    .get(*i as usize)
-                    .ok_or(TypeError::UnboundVar {
-                        kind: "local",
-                        index: *i,
-                    })?
-                    .clone();
+                let slot = self.locals.get(*i as usize).ok_or(TypeError::UnboundVar {
+                    kind: "local",
+                    index: *i,
+                })?;
                 if slot.ty.qual != *q {
                     return Err(TypeError::Mismatch {
                         expected: format!("slot qualifier {q}"),
@@ -573,11 +611,12 @@ impl<'a> Checker<'a> {
                         context: format!("get_local {i}"),
                     });
                 }
-                self.push_op(slot.ty);
+                let t = self.read(&slot.ty, slot.at);
+                self.push_op(t);
                 if !qual_leq(&self.ctx, *q, Qual::Unr) {
                     // Linear read: the slot is strongly updated to unit to
                     // prevent duplication (paper §2.1).
-                    self.locals[*i as usize].ty = Type::unit();
+                    self.write_local(*i, Type::unit());
                 }
                 Ok(())
             }
@@ -1096,28 +1135,27 @@ impl<'a> Checker<'a> {
     }
 
     fn set_local_common(&mut self, i: u32, t: Type, ctxt: &str) -> Result<(), TypeError> {
-        let slot = self
-            .locals
-            .get(i as usize)
-            .ok_or(TypeError::UnboundVar {
-                kind: "local",
-                index: i,
-            })?
-            .clone();
+        let slot = self.locals.get(i as usize).ok_or(TypeError::UnboundVar {
+            kind: "local",
+            index: i,
+        })?;
         if !qual_leq(&self.ctx, slot.ty.qual, Qual::Unr) {
             return Err(TypeError::LinearityViolation {
-                context: format!("{ctxt} {i} would drop linear slot contents {}", slot.ty),
+                context: format!(
+                    "{ctxt} {i} would drop linear slot contents {}",
+                    self.read(&slot.ty, slot.at)
+                ),
             });
         }
         let tsz = size_of_type(&self.ctx, &t)?;
         if !size_leq(&self.ctx, &tsz, &slot.size) {
             return Err(TypeError::SizeNotLeq {
                 lhs: tsz,
-                rhs: slot.size,
+                rhs: slot.size.clone(),
                 context: format!("{ctxt} {i}: value does not fit slot"),
             });
         }
-        self.locals[i as usize].ty = t;
+        self.write_local(i, t);
         Ok(())
     }
 
@@ -1181,66 +1219,77 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn check_block(&mut self, b: &Block, body: &[Instr]) -> Result<(), TypeError> {
-        let post_locals = self.apply_effects(&b.effects)?;
+    fn check_block(&mut self, b: &'a Block, body: &'a [Instr]) -> Result<(), TypeError> {
+        self.check_effects(&b.effects)?;
         self.pop_many_expect(&b.arrow.params, "block (params)")?;
-        self.run_body(
-            body,
+        let mark = self.log.len();
+        let frame = Frame::exact(
+            self.depth,
+            b.arrow.results.clone(),
+            b.arrow.results.clone(),
+            true,
+            mark,
+            &b.effects,
+            self.depth,
             b.arrow.params.clone(),
-            b.arrow.results.clone(),
-            LocalsReq::Exact(post_locals.clone()),
-            b.arrow.results.clone(),
-            Some(post_locals.clone()),
             Vec::new(),
-            "block",
-        )?;
-        self.locals = post_locals;
+        );
+        self.run_body(body, frame, "block")?;
+        self.leave_block(mark, &b.effects);
         for t in b.arrow.results.clone() {
             self.push_op(t);
         }
         Ok(())
     }
 
-    fn check_loop(&mut self, arrow: &ArrowType, body: &[Instr]) -> Result<(), TypeError> {
+    fn check_loop(&mut self, arrow: &ArrowType, body: &'a [Instr]) -> Result<(), TypeError> {
         self.pop_many_expect(&arrow.params, "loop (params)")?;
-        let entry_locals = self.locals.clone();
-        self.run_body(
-            body,
+        // A branch to a loop label re-enters the top: it transfers the
+        // loop's *parameters* and must restore the entry locals.
+        let frame = Frame::exact(
+            self.depth,
             arrow.params.clone(),
-            // A branch to a loop label re-enters the top: it transfers the
-            // loop's *parameters* and must restore the entry locals.
-            arrow.params.clone(),
-            LocalsReq::Exact(entry_locals),
             arrow.results.clone(),
-            None,
+            false,
+            self.log.len(),
+            &[],
+            self.depth,
+            arrow.params.clone(),
             Vec::new(),
-            "loop",
-        )?;
+        );
+        self.run_body(body, frame, "loop")?;
         for t in arrow.results.clone() {
             self.push_op(t);
         }
         Ok(())
     }
 
-    fn check_if(&mut self, b: &Block, then_b: &[Instr], else_b: &[Instr]) -> Result<(), TypeError> {
+    fn check_if(
+        &mut self,
+        b: &'a Block,
+        then_b: &'a [Instr],
+        else_b: &'a [Instr],
+    ) -> Result<(), TypeError> {
         self.pop_expect(&Type::num(NumType::I32), "if (condition)")?;
-        let post_locals = self.apply_effects(&b.effects)?;
+        self.check_effects(&b.effects)?;
         self.pop_many_expect(&b.arrow.params, "if (params)")?;
-        let entry_locals = self.locals.clone();
+        let mark = self.log.len();
         for (name, body) in [("if (then)", then_b), ("if (else)", else_b)] {
-            self.locals = entry_locals.clone();
-            self.run_body(
-                body,
+            self.rewind(mark);
+            let frame = Frame::exact(
+                self.depth,
+                b.arrow.results.clone(),
+                b.arrow.results.clone(),
+                true,
+                mark,
+                &b.effects,
+                self.depth,
                 b.arrow.params.clone(),
-                b.arrow.results.clone(),
-                LocalsReq::Exact(post_locals.clone()),
-                b.arrow.results.clone(),
-                Some(post_locals.clone()),
                 Vec::new(),
-                name,
-            )?;
+            );
+            self.run_body(body, frame, name)?;
         }
-        self.locals = post_locals;
+        self.leave_block(mark, &b.effects);
         for t in b.arrow.results.clone() {
             self.push_op(t);
         }
@@ -1356,8 +1405,8 @@ impl<'a> Checker<'a> {
         &mut self,
         q: Qual,
         psi: &HeapType,
-        b: &Block,
-        bodies: &[Vec<Instr>],
+        b: &'a Block,
+        bodies: &'a [Vec<Instr>],
     ) -> Result<(), TypeError> {
         let HeapType::Variant(cases) = psi else {
             return Err(TypeError::Mismatch {
@@ -1420,29 +1469,31 @@ impl<'a> Checker<'a> {
                 }
             }
         }
-        let post_locals = self.apply_effects(&b.effects)?;
-        let entry_locals = self.locals.clone();
+        self.check_effects(&b.effects)?;
+        let mark = self.log.len();
         let limbo = if linear_case {
             Vec::new()
         } else {
             vec![rt.clone()]
         };
         for (ci, (case_ty, body)) in cases.iter().zip(bodies).enumerate() {
-            self.locals = entry_locals.clone();
+            self.rewind(mark);
             let mut entry = b.arrow.params.clone();
             entry.push(case_ty.clone());
-            self.run_body(
-                body,
+            let frame = Frame::exact(
+                self.depth,
+                b.arrow.results.clone(),
+                b.arrow.results.clone(),
+                true,
+                mark,
+                &b.effects,
+                self.depth,
                 entry,
-                b.arrow.results.clone(),
-                LocalsReq::Exact(post_locals.clone()),
-                b.arrow.results.clone(),
-                Some(post_locals.clone()),
                 limbo.clone(),
-                &format!("variant.case branch {ci}"),
-            )?;
+            );
+            self.run_body(body, frame, &format!("variant.case branch {ci}"))?;
         }
-        self.locals = post_locals;
+        self.leave_block(mark, &b.effects);
         if !linear_case {
             self.push_op(rt);
         }
@@ -1490,8 +1541,8 @@ impl<'a> Checker<'a> {
         &mut self,
         q: Qual,
         psi: &HeapType,
-        b: &Block,
-        body: &[Instr],
+        b: &'a Block,
+        body: &'a [Instr],
     ) -> Result<(), TypeError> {
         let HeapType::Exists(bq, bsz, body_ty) = psi else {
             return Err(TypeError::Mismatch {
@@ -1538,52 +1589,45 @@ impl<'a> Checker<'a> {
                 context: "exist.unpack unr would duplicate a linear package body".into(),
             });
         }
-        let post_locals = self.apply_effects(&b.effects)?;
-        // Enter the pretype binder: shift all tracked state, load the
-        // bound, and run the body in inner coordinates.
-        let bq = *bq;
-        let bsz = bsz.clone();
-        let body_ty = body_ty.clone();
-        let rt_outer = rt;
-        self.shift_all(Kind::Type);
+        self.check_effects(&b.effects)?;
+        // Enter the pretype binder: load the bound and run the body in
+        // inner coordinates. Nothing already stored is rewritten; its
+        // depth stamp says how far to shift it when it is read.
+        let outer = self.depth;
+        self.depth = outer + Depth::one(Kind::Type);
         self.ctx.push_type(TypeBound {
-            lower_qual: bq,
-            size: bsz,
+            lower_qual: *bq,
+            size: bsz.clone(),
             may_contain_caps: false,
         });
         let shift1 = |t: &Type| shift_type(t, Depth::one(Kind::Type));
         let mut entry: Vec<Type> = b.arrow.params.iter().map(shift1).collect();
-        entry.push((*body_ty).clone()); // already in binder coordinates
+        entry.push((**body_ty).clone()); // already in binder coordinates
         let results_in: Vec<Type> = b.arrow.results.iter().map(shift1).collect();
-        let post_in: Vec<SlotTy> = post_locals
-            .iter()
-            .map(|s| SlotTy {
-                ty: shift1(&s.ty),
-                size: s.size.clone(),
-            })
-            .collect();
         let limbo = if linear_case {
             Vec::new()
         } else {
-            vec![shift1(&rt_outer)]
+            vec![shift1(&rt)]
         };
-        let res = self.run_body(
-            body,
-            entry,
+        let mark = self.log.len();
+        let frame = Frame::exact(
+            self.depth,
             results_in.clone(),
-            LocalsReq::Exact(post_in.clone()),
             results_in,
-            Some(post_in),
+            true,
+            mark,
+            &b.effects,
+            outer,
+            entry,
             limbo,
-            "exist.unpack",
         );
+        let res = self.run_body(body, frame, "exist.unpack");
         self.ctx.pop_type();
-        let unshift_res = self.unshift_all(Kind::Type);
+        self.depth = outer;
         res?;
-        unshift_res?;
-        self.locals = post_locals;
+        self.leave_block(mark, &b.effects);
         if !linear_case {
-            self.push_op(rt_outer);
+            self.push_op(rt);
         }
         for t in b.arrow.results.clone() {
             self.push_op(t);
@@ -1591,7 +1635,7 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn check_mem_unpack(&mut self, b: &Block, body: &[Instr]) -> Result<(), TypeError> {
+    fn check_mem_unpack(&mut self, b: &'a Block, body: &'a [Instr]) -> Result<(), TypeError> {
         let Some(pkg) = self.pop_op("mem.unpack (package)")? else {
             self.cur_info.bodies_visited = false;
             return Ok(());
@@ -1605,35 +1649,31 @@ impl<'a> Checker<'a> {
         };
         let pkg_body = (**pkg_body).clone();
         self.pop_many_expect(&b.arrow.params, "mem.unpack (params)")?;
-        let post_locals = self.apply_effects(&b.effects)?;
-        self.shift_all(Kind::Loc);
+        self.check_effects(&b.effects)?;
+        let outer = self.depth;
+        self.depth = outer + Depth::one(Kind::Loc);
         self.ctx.push_loc();
         let shift1 = |t: &Type| shift_type(t, Depth::one(Kind::Loc));
         let mut entry: Vec<Type> = b.arrow.params.iter().map(shift1).collect();
         entry.push(pkg_body); // the ∃ body is already in binder coordinates
         let results_in: Vec<Type> = b.arrow.results.iter().map(shift1).collect();
-        let post_in: Vec<SlotTy> = post_locals
-            .iter()
-            .map(|s| SlotTy {
-                ty: shift1(&s.ty),
-                size: s.size.clone(),
-            })
-            .collect();
-        let res = self.run_body(
-            body,
-            entry,
+        let mark = self.log.len();
+        let frame = Frame::exact(
+            self.depth,
             results_in.clone(),
-            LocalsReq::Exact(post_in.clone()),
             results_in,
-            Some(post_in),
+            true,
+            mark,
+            &b.effects,
+            outer,
+            entry,
             Vec::new(),
-            "mem.unpack",
         );
+        let res = self.run_body(body, frame, "mem.unpack");
         self.ctx.pop_loc();
-        let unshift_res = self.unshift_all(Kind::Loc);
+        self.depth = outer;
         res?;
-        unshift_res?;
-        self.locals = post_locals;
+        self.leave_block(mark, &b.effects);
         for t in b.arrow.results.clone() {
             self.push_op(t);
         }
@@ -1643,8 +1683,8 @@ impl<'a> Checker<'a> {
     /// Finishes checking a function body: the stack must hold exactly the
     /// return types and no local may still hold a linear value (Fig. 8's
     /// configuration rule).
-    pub fn finish(&mut self) -> Result<(), TypeError> {
-        let ret = self.ret.clone();
+    fn finish(&mut self) -> Result<(), TypeError> {
+        let ret = self.frames[0].label_tys.clone();
         self.cur_info = InstrInfo::default();
         self.pop_many_expect(&ret, "function end")?;
         if !self.cur().stack.is_empty() {
@@ -1652,7 +1692,22 @@ impl<'a> Checker<'a> {
                 context: "values left on stack at function end".into(),
             });
         }
-        self.check_locals_req(&LocalsReq::AllUnr, "function end")
+        self.check_all_unr("function end")
+    }
+}
+
+/// Whether `a` stored at depth `a_at` and `b` stored at `b_at` are the
+/// same type once read at the current depth. Both stamps lie on the
+/// current binder path, so one is within the other; shifting is
+/// injective, so comparing at the deeper stamp decides it.
+fn same_type(a: &Type, a_at: Depth, b: &Type, b_at: Depth) -> bool {
+    if a_at == b_at {
+        a == b
+    } else if a_at.loc <= b_at.loc && a_at.ty <= b_at.ty {
+        // (Unpacks bind only locations and pretypes.)
+        shift_type(a, b_at - a_at) == *b
+    } else {
+        *a == shift_type(b, a_at - b_at)
     }
 }
 
@@ -1698,20 +1753,22 @@ pub fn check_function_body(
     let mut locals = Vec::with_capacity(ty.arrow.params.len() + local_sizes.len());
     for p in &ty.arrow.params {
         let size = size_of_type(&ctx, p)?;
-        locals.push(SlotTy {
+        locals.push(Slot {
             ty: p.clone(),
+            at: Depth::default(),
             size,
         });
     }
     for sz in local_sizes {
         wf_size(&ctx, sz)?;
-        locals.push(SlotTy {
+        locals.push(Slot {
             ty: Type::unit(),
+            at: Depth::default(),
             size: sz.clone(),
         });
     }
     let mut checker = Checker::new(module, ctx, locals, ty.arrow.results.clone());
     checker.check_seq(body)?;
     checker.finish()?;
-    Ok(checker.into_trace())
+    Ok(checker.trace)
 }

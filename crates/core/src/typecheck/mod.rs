@@ -23,7 +23,7 @@ mod instr;
 pub mod rules;
 mod value;
 
-pub use instr::{check_function_body, Checker, InstrInfo, SlotTy};
+pub use instr::{check_function_body, InstrInfo};
 pub use rules::{coverage_of_module, Rule, RuleCoverage};
 pub use value::synthesize_const;
 
