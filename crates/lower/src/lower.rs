@@ -1325,6 +1325,18 @@ impl<'a> FnCx<'a> {
             }
         }
 
+        // One shape whose arguments need no coercion: the stack already
+        // holds them under the table index, which is all `call_indirect`
+        // takes.
+        if let [shape] = shapes.as_slice() {
+            if plan_is_identity(&shape.arg_plan) {
+                out.push(WInstr::CallIndirect(shape.sig_idx));
+                if !plan_is_identity(&shape.res_plan) {
+                    self.emit_coerce_pop(&shape.res_plan, out);
+                }
+                return Ok(());
+            }
+        }
         // The table index is on top of the stack.
         let ix = self.alloc_pool(1);
         out.push(WInstr::LocalSet(ix));

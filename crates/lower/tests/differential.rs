@@ -553,6 +553,9 @@ fn one_callee_shape_lowers_to_one_call_indirect() {
     assert_eq!(count(|i| matches!(i, WInstr::CallIndirect(_))), 1);
     assert_eq!(count(|i| matches!(i, WInstr::If(..))), 0);
     assert_eq!(count(|i| matches!(i, WInstr::Unreachable)), 0);
+    // Its arguments need no coercion, so they stay on the stack: the only
+    // `local.set`s are the prologue's copies of `apply`'s two parameters.
+    assert_eq!(count(|i| matches!(i, WInstr::LocalSet(_))), 2, "{site:?}");
     assert_eq!(assert_agree(m), 42 + 5 + 9);
 }
 

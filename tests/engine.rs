@@ -1359,3 +1359,93 @@ fn pool_blocked_checkout_accounts_the_wait() {
         "blocked time unaccounted: {stats}"
     );
 }
+
+// A `call_indirect` site whose one callee shape needs no argument
+// coercion calls straight through the table: the lowered site spills
+// nothing to locals, and every `Exec` mode returns the same result.
+#[test]
+fn monomorphic_table_call_lowers_without_a_spill() {
+    let i32t = || Type::num(NumType::I32);
+    let unary = || FunType::mono(vec![i32t()], vec![i32t()]);
+    let mul = Instr::Num(NumInstr::IntBinop(NumType::I32, instr::IntBinop::Mul));
+    let add = Instr::Num(NumInstr::IntBinop(NumType::I32, instr::IntBinop::Add));
+    let scale = |k| syntax::Func::Defined {
+        exports: vec![],
+        ty: unary(),
+        locals: vec![],
+        body: vec![Instr::GetLocal(0, Qual::Unr), Instr::i32(k), mul.clone()],
+    };
+    let apply_at = |slot| {
+        vec![
+            Instr::GetLocal(0, Qual::Unr),
+            Instr::CodeRefI(slot),
+            Instr::Inst(vec![]),
+            Instr::Call(2, vec![]),
+        ]
+    };
+    let mut main = apply_at(0);
+    main.extend(apply_at(1));
+    main.push(add);
+    let m = syntax::Module {
+        funcs: vec![
+            scale(2),
+            scale(3),
+            syntax::Func::Defined {
+                exports: vec!["apply".into()],
+                ty: FunType::mono(
+                    vec![i32t(), syntax::Pretype::CodeRef(unary()).unr()],
+                    vec![i32t()],
+                ),
+                locals: vec![],
+                body: vec![
+                    Instr::GetLocal(0, Qual::Unr),
+                    Instr::GetLocal(1, Qual::Unr),
+                    Instr::CallIndirect,
+                ],
+            },
+            syntax::Func::Defined {
+                exports: vec!["main".into()],
+                ty: FunType::mono(vec![i32t()], vec![i32t()]),
+                locals: vec![],
+                body: main,
+            },
+        ],
+        table: syntax::Table {
+            exports: vec![],
+            entries: vec![0, 1],
+        },
+        ..syntax::Module::default()
+    };
+    let set = ModuleSet::new().richwasm("m", m);
+    for exec in [Exec::Interp, Exec::Wasm, Exec::Differential] {
+        let artifact = Engine::with_config(EngineConfig::new().exec(exec))
+            .compile(&set)
+            .unwrap();
+        let mut inst = artifact.instantiate().unwrap();
+        let got = inst.invoke("m", "main", vec![Value::i32(7)]).unwrap();
+        assert_eq!(got.i32(), Some(35), "{exec:?}");
+        if exec == Exec::Wasm {
+            let (_, wm) = artifact
+                .lowered_modules()
+                .iter()
+                .find(|(name, _)| name == "m")
+                .unwrap();
+            let apply = wm
+                .funcs
+                .iter()
+                .find(|f| {
+                    f.body
+                        .iter()
+                        .any(|i| matches!(i, w::WInstr::CallIndirect(_)))
+                })
+                .unwrap();
+            // The only `local.set`s are the prologue's copies of `apply`'s
+            // two parameters into their slot locals.
+            let sets = apply
+                .body
+                .iter()
+                .filter(|i| matches!(i, w::WInstr::LocalSet(_)));
+            assert_eq!(sets.count(), 2, "the site spills: {:?}", apply.body);
+        }
+    }
+}
