@@ -25,8 +25,8 @@
 //!   nothing): t(`Exec::Interp`) / t(`Exec::Wasm`) ≥ 0.5 for a cold
 //!   compile of `ml_tower(6)` with analysis off, each `t` the median of
 //!   9 runs. On a shared 2-vCPU container, checking once scores
-//!   0.58–0.65 now that the checker is linear; it read 0.83–0.99 while the
-//!   checker rewrote its whole state at every unpack (checking was then
+//!   0.58–0.65 now that the checker is linear; it read 0.83–0.99 while
+//!   the checker rewrote its whole state at every unpack (checking was then
 //!   most of both compiles). It scored 0.50–0.68 while lowering gave
 //!   every indirect call one arm per table entry instead of one per
 //!   callee shape, and an engine that checked every body in its
@@ -36,9 +36,11 @@
 //!   linear in program size: `ml_tower(d + 1)` is twice the size of
 //!   `ml_tower(d)`, so 2·t(`check_module(ml_tower(6))`) /
 //!   t(`check_module(ml_tower(7))`) ≥ 0.75, each `t` the median of 9
-//!   runs. A linear checker scores about 1.0 (0.88–1.03 on a shared
-//!   2-vCPU container); one that shifted every stored type at each
-//!   `mem.unpack`/`exist.unpack` scored 0.54–0.66.
+//!   runs, the two depths interleaved. A linear checker scores about 1.0
+//!   (0.92–0.97 on a shared 2-vCPU container; timed one depth after the
+//!   other instead, single bursts spread it over 0.62–3.30). One that
+//!   shifted every stored type at each `mem.unpack`/`exist.unpack`
+//!   scored 0.54–0.66.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use richwasm::syntax::Value;
@@ -48,6 +50,8 @@ use richwasm_bench::workloads::{
     counter_client, counter_library, ml_tower, stash_client, stash_module,
 };
 use richwasm_repro::engine::{Analysis, Engine, EngineConfig, Exec, ModuleSet};
+use std::hint::black_box;
+use std::time::Instant;
 
 fn stash_set() -> ModuleSet {
     ModuleSet::new()
@@ -110,11 +114,21 @@ fn bench(c: &mut Criterion) {
 
     g.finish();
 
-    let check_ns = |depth: u32| {
-        let m = richwasm_ml::compile_module(&ml_tower(depth)).unwrap();
-        median_of(9, || check_module(&m).unwrap()).as_nanos().max(1) as f64
-    };
-    let (t6, t7) = (check_ns(6), check_ns(7));
+    // The two depths are timed in interleaved rounds, alternating which
+    // runs first, so a neighbour's burst on a shared machine slows both.
+    let towers = [6, 7].map(|d| richwasm_ml::compile_module(&ml_tower(d)).unwrap());
+    let mut times = [Vec::new(), Vec::new()];
+    for round in 0..9 {
+        for k in [round % 2, 1 - round % 2] {
+            let t0 = Instant::now();
+            black_box(check_module(&towers[k]).unwrap());
+            times[k].push(t0.elapsed());
+        }
+    }
+    let [t6, t7] = times.map(|mut ts| {
+        ts.sort();
+        ts[ts.len() / 2].as_nanos().max(1) as f64
+    });
     println!(
         "e6: check_module: ml_tower(6) {:.2}ms, ml_tower(7) {:.2}ms",
         t6 / 1e6,

@@ -89,37 +89,6 @@ struct Frame<'a> {
     unreachable: bool,
 }
 
-impl<'a> Frame<'a> {
-    /// A frame at depth `at` whose locals requirement is `Exact` with
-    /// `effects`, declared at depth `effects_at`, from log position `mark`.
-    #[allow(clippy::too_many_arguments)]
-    fn exact(
-        at: Depth,
-        label_tys: Vec<Type>,
-        end_tys: Vec<Type>,
-        end_locals: bool,
-        mark: usize,
-        effects: &'a [LocalEffect],
-        effects_at: Depth,
-        stack: Vec<Type>,
-        limbo: Vec<Type>,
-    ) -> Self {
-        Frame {
-            at,
-            label_tys,
-            label_locals: LocalsReq::Exact,
-            end_tys,
-            end_locals,
-            mark,
-            effects,
-            effects_at,
-            stack,
-            limbo,
-            unreachable: false,
-        }
-    }
-}
-
 /// Per-instruction type information recorded during checking, consumed by
 /// the type-directed RichWasm→Wasm compiler (§6: "compilation … requires
 /// some type information that is implicit in RichWasm instructions which
@@ -449,6 +418,32 @@ impl<'a> Checker<'a> {
     // ------------------------------------------------------------------
     // Frame entry/exit for block-like instructions
     // ------------------------------------------------------------------
+
+    /// A block-like frame at the current depth, entered now: a branch to
+    /// it or the end of its body transfers `results` and requires the
+    /// locals here with `effects` (declared at depth `effects_at`) applied.
+    fn block_frame(
+        &self,
+        results: Vec<Type>,
+        effects: &'a [LocalEffect],
+        effects_at: Depth,
+        entry: Vec<Type>,
+        limbo: Vec<Type>,
+    ) -> Frame<'a> {
+        Frame {
+            at: self.depth,
+            label_tys: results.clone(),
+            label_locals: LocalsReq::Exact,
+            end_tys: results,
+            end_locals: true,
+            mark: self.log.len(),
+            effects,
+            effects_at,
+            stack: entry,
+            limbo,
+            unreachable: false,
+        }
+    }
 
     /// Runs `body` in `frame`, whose types must be in the coordinates
     /// *inside* it (the caller enters any binder first).
@@ -1223,12 +1218,8 @@ impl<'a> Checker<'a> {
         self.check_effects(&b.effects)?;
         self.pop_many_expect(&b.arrow.params, "block (params)")?;
         let mark = self.log.len();
-        let frame = Frame::exact(
-            self.depth,
+        let frame = self.block_frame(
             b.arrow.results.clone(),
-            b.arrow.results.clone(),
-            true,
-            mark,
             &b.effects,
             self.depth,
             b.arrow.params.clone(),
@@ -1246,17 +1237,17 @@ impl<'a> Checker<'a> {
         self.pop_many_expect(&arrow.params, "loop (params)")?;
         // A branch to a loop label re-enters the top: it transfers the
         // loop's *parameters* and must restore the entry locals.
-        let frame = Frame::exact(
-            self.depth,
-            arrow.params.clone(),
-            arrow.results.clone(),
-            false,
-            self.log.len(),
-            &[],
-            self.depth,
-            arrow.params.clone(),
-            Vec::new(),
-        );
+        let frame = Frame {
+            label_tys: arrow.params.clone(),
+            end_locals: false,
+            ..self.block_frame(
+                arrow.results.clone(),
+                &[],
+                self.depth,
+                arrow.params.clone(),
+                Vec::new(),
+            )
+        };
         self.run_body(body, frame, "loop")?;
         for t in arrow.results.clone() {
             self.push_op(t);
@@ -1276,12 +1267,8 @@ impl<'a> Checker<'a> {
         let mark = self.log.len();
         for (name, body) in [("if (then)", then_b), ("if (else)", else_b)] {
             self.rewind(mark);
-            let frame = Frame::exact(
-                self.depth,
+            let frame = self.block_frame(
                 b.arrow.results.clone(),
-                b.arrow.results.clone(),
-                true,
-                mark,
                 &b.effects,
                 self.depth,
                 b.arrow.params.clone(),
@@ -1480,12 +1467,8 @@ impl<'a> Checker<'a> {
             self.rewind(mark);
             let mut entry = b.arrow.params.clone();
             entry.push(case_ty.clone());
-            let frame = Frame::exact(
-                self.depth,
+            let frame = self.block_frame(
                 b.arrow.results.clone(),
-                b.arrow.results.clone(),
-                true,
-                mark,
                 &b.effects,
                 self.depth,
                 entry,
@@ -1610,17 +1593,7 @@ impl<'a> Checker<'a> {
             vec![shift1(&rt)]
         };
         let mark = self.log.len();
-        let frame = Frame::exact(
-            self.depth,
-            results_in.clone(),
-            results_in,
-            true,
-            mark,
-            &b.effects,
-            outer,
-            entry,
-            limbo,
-        );
+        let frame = self.block_frame(results_in, &b.effects, outer, entry, limbo);
         let res = self.run_body(body, frame, "exist.unpack");
         self.ctx.pop_type();
         self.depth = outer;
@@ -1658,17 +1631,7 @@ impl<'a> Checker<'a> {
         entry.push(pkg_body); // the ∃ body is already in binder coordinates
         let results_in: Vec<Type> = b.arrow.results.iter().map(shift1).collect();
         let mark = self.log.len();
-        let frame = Frame::exact(
-            self.depth,
-            results_in.clone(),
-            results_in,
-            true,
-            mark,
-            &b.effects,
-            outer,
-            entry,
-            Vec::new(),
-        );
+        let frame = self.block_frame(results_in, &b.effects, outer, entry, Vec::new());
         let res = self.run_body(body, frame, "mem.unpack");
         self.ctx.pop_loc();
         self.depth = outer;
